@@ -5,9 +5,10 @@
 //! empty and is persisted to an on-disk log with sync on, so detection,
 //! refusal back-out and the fsynced append run inside the measured region.
 //!
-//! Every round replays the run's one seeded request plan on a fresh
-//! runtime and log: the learn-then-avoid story, once per round, with exact
-//! counts that must repeat round after round.
+//! Each round pair runs a freshly seeded request plan, on a fresh runtime
+//! and log for each side: the learn-then-avoid story, once per round. The
+//! learning counts (refusals, signatures, log bytes) are therefore
+//! per-round medians, not counts that repeat exactly.
 
 use crate::gen::{self, Rng};
 use crate::layers;

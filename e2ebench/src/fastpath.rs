@@ -421,4 +421,16 @@ fn check(w: &Fastpath, result: &LoopResult, traced: bool, out: &mut Outcome) {
     checks.expect(result.refused == 0, || {
         format!("{} sections refused", result.refused)
     });
+    // The workload exists to load the lock-free tier; a section sent down
+    // the locked path (say, a Bloom hit on a synthetic signature) would
+    // silently measure the slow tier instead.
+    if traced {
+        let t = &result.traced_stats;
+        checks.expect(t.fast_admits as f64 >= 0.99 * t.requests as f64, || {
+            format!(
+                "only {} of {} traced requests took the lock-free tier",
+                t.fast_admits, t.requests
+            )
+        });
+    }
 }

@@ -444,4 +444,15 @@ fn check(w: &Fleet, files: &Files, result: &LoopResult, traced: bool, out: &mut 
             && ex.quarantined_packs == 0,
         || format!("pack import: {ex:?}"),
     );
+    // Pending foreign antibodies keep every acquisition off the lock-free
+    // tier: this workload measures the locked engine and the exchange gate.
+    if traced {
+        let t = &result.traced_stats;
+        checks.expect(t.fast_admits as f64 <= 0.01 * t.requests as f64, || {
+            format!(
+                "{} of {} traced requests took the lock-free tier",
+                t.fast_admits, t.requests
+            )
+        });
+    }
 }

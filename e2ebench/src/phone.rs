@@ -27,6 +27,12 @@ const SCALE: u64 = 200;
 const PASSES: usize = 2;
 const MAX_STEPS: u64 = 5_000_000;
 const MIN_PAIRS: usize = 3;
+/// Share of rounds the timings come from, fastest first. A round repeats
+/// the same launches and lasts about 10 ms, while this interpreter-heavy
+/// work runs up to twice as slow through host stretches of 0.1-2 s (the
+/// bare twin slows alike); the fastest tenth keeps the undisturbed rounds
+/// and still holds over a thousand launches in a 20 s run.
+const FASTEST_ROUNDS: f64 = 0.1;
 const NOTIFICATION_APP: &str = "com.example.notificationtest";
 
 /// The seeded inputs of one round: scheduler seed and launch order.
@@ -282,6 +288,7 @@ pub fn run(seed: u64, seconds: f64, traced: bool, dir: &Path) -> (Outcome, Vec<T
             e2e.ops_ok += r.launches.iter().filter(|l| !l.frozen).count() as u64;
         }
         e2e.bare_secs = twin_secs;
+        e2e.fastest_rounds = Some(FASTEST_ROUNDS);
         e2e.into_metrics(&mut out);
         let frozen = e2e_frozen(&immune_rounds);
         out.samples.insert("frozen_launches", frozen);

@@ -114,30 +114,58 @@ pub struct EndToEnd {
     pub ops_attempted: u64,
     pub setup_secs: Vec<f64>,
     pub memory_bytes: Vec<f64>,
+    /// When set, throughput and latency come from this share of the
+    /// rounds, fewest seconds per op first. For rounds that repeat a fixed
+    /// amount of work and last far less than the host's slow stretches, it
+    /// keeps the undisturbed rounds, so the figures do not follow how much
+    /// of a run the host spent slowed down. `None` uses every round.
+    pub fastest_rounds: Option<f64>,
+}
+
+/// Share of the set-ups, fastest first, that set-up time is the median of.
+/// Every set-up in a run does the same amount of work, so their
+/// spread is the host's alone; over all set-ups the median followed how
+/// much of a run the host spent slowed down (up to 40% between two sets
+/// of runs minutes apart, on a 2-vCPU VM).
+const FASTEST_SETUPS: f64 = 0.1;
+
+/// Indices of the `share` of `n` items with the smallest `key`, at least
+/// three (or all, when fewer).
+fn fastest(n: usize, share: f64, key: impl Fn(usize) -> f64) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..n).collect();
+    idx.sort_by(|&a, &b| key(a).total_cmp(&key(b)));
+    idx.truncate(((share * n as f64).round() as usize).clamp(3.min(n), n));
+    idx
 }
 
 impl EndToEnd {
     pub fn into_metrics(self, out: &mut Outcome) {
-        // Ops over the summed wall time of the immune rounds: host speed
+        let rounds = self.immune_secs.len();
+        let timed = match self.fastest_rounds {
+            Some(share) => fastest(rounds, share, |i| {
+                self.immune_secs[i] / self.round_ops[i].max(1.0)
+            }),
+            None => (0..rounds).collect(),
+        };
+        // Ops over the summed wall time of the timed rounds: host speed
         // drifts within a run, and the ratio weighs every stretch by its
         // length where a median of per-round rates would pick one.
-        let ops: f64 = self.round_ops.iter().sum();
-        let secs: f64 = self.immune_secs.iter().sum();
+        let ops: f64 = timed.iter().map(|&i| self.round_ops[i]).sum();
+        let secs: f64 = timed.iter().map(|&i| self.immune_secs[i]).sum();
         let m = &mut out.metrics;
         m.insert("throughput_ops_s", ops / secs.max(1e-12));
         // Per-round percentiles, then their median across rounds, when every
-        // round has enough samples for ten beyond its p99; otherwise one
-        // percentile over all rounds' samples pooled.
-        let per_round = self
-            .latencies_ns
-            .iter()
-            .all(|r| r.len() >= PER_ROUND_SAMPLES);
+        // timed round has enough samples for ten beyond its p99; otherwise
+        // one percentile over the timed rounds' samples pooled.
+        let latencies: Vec<&Vec<u64>> = timed.iter().map(|&i| &self.latencies_ns[i]).collect();
+        let per_round = latencies.iter().all(|r| r.len() >= PER_ROUND_SAMPLES);
         let latency = |q: f64| {
             if per_round {
-                let each: Vec<f64> = self.latencies_ns.iter().map(|r| percentile(r, q)).collect();
+                let each: Vec<f64> = latencies.iter().map(|r| percentile(r, q)).collect();
                 median(&each)
             } else {
-                percentile(&self.latencies_ns.concat(), q)
+                let pooled: Vec<u64> = latencies.iter().flat_map(|r| r.iter().copied()).collect();
+                percentile(&pooled, q)
             }
         };
         m.insert("op_p50_us", latency(0.50) / 1e3);
@@ -150,17 +178,25 @@ impl EndToEnd {
             "ops_ok_ratio",
             self.ops_ok as f64 / self.ops_attempted.max(1) as f64,
         );
-        m.insert("setup_s", median(&self.setup_secs));
+        let setups: Vec<f64> = fastest(self.setup_secs.len(), FASTEST_SETUPS, |i| {
+            self.setup_secs[i]
+        })
+        .into_iter()
+        .map(|i| self.setup_secs[i])
+        .collect();
+        m.insert("setup_s", median(&setups));
         m.insert(
             "immune_memory_mb",
             median(&self.memory_bytes) / (1024.0 * 1024.0),
         );
-        let samples: usize = self.latencies_ns.iter().map(Vec::len).sum();
+        let samples: usize = latencies.iter().map(|r| r.len()).sum();
         out.samples.insert("op_latency", samples as u64);
         out.samples
             .insert("op_latency_per_round", u64::from(per_round));
-        out.samples.insert("rounds", self.immune_secs.len() as u64);
+        out.samples.insert("rounds", rounds as u64);
+        out.samples.insert("timed_rounds", timed.len() as u64);
         out.samples.insert("setups", self.setup_secs.len() as u64);
+        out.samples.insert("timed_setups", setups.len() as u64);
         out.attempted = self.ops_attempted;
     }
 }
@@ -193,4 +229,21 @@ pub fn result_line(outcome: &Outcome, table: &[(&str, &str)]) -> String {
         outcome.failed,
         metrics.join(", ")
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fastest;
+
+    #[test]
+    fn fastest_keeps_the_smallest_share_and_at_least_three() {
+        let v = [5.0, 1.0, 4.0, 2.0, 3.0, 9.0, 8.0, 7.0, 6.0, 0.5];
+        let key = |i: usize| v[i];
+        let mut got = fastest(v.len(), 0.1, key);
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 3, 9]);
+        assert_eq!(fastest(v.len(), 0.5, key).len(), 5);
+        assert_eq!(fastest(2, 0.1, key).len(), 2);
+        assert!(fastest(0, 0.1, key).is_empty());
+    }
 }

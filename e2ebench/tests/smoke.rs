@@ -133,11 +133,11 @@ fn every_workload_reports_the_declared_metrics_and_passes_its_checks() {
             let stamp = stamp.get("stamp").expect("stamp object");
             for key in [
                 "cpus",
+                "shard_count",
                 "seed",
                 "estimator",
                 "samples",
                 "commit",
-                "source_digest",
             ] {
                 assert!(stamp.get(key).is_some(), "stamp names {key}");
             }
