@@ -98,32 +98,33 @@ pub fn core_engine(out: &mut Outcome, s: &Stats, ops: u64) {
 /// untraced op time, for the thread workloads. Every span the benchmark
 /// records under an op is a leaf, so a layer's self time is its span's
 /// duration. Per round, the span sum per op is the traced round's span
-/// time over its ops; the medians over rounds of the span sum, the traced
-/// and the untraced op time are compared. The check: the span sum lies
-/// within the tracing overhead of the untraced op time, widened by twice
-/// the standard error of that overhead (from the spread of the paired
-/// round differences), so host noise in a short run is not read as a
-/// failure to reconcile.
+/// time over its ops, and the traced and untraced op times are the
+/// threads' op-loop time over their ops (a round's wall time would also
+/// count the barrier wait of a thread the host let finish first). The
+/// medians over rounds are compared. The check: the span sum lies within
+/// the tracing overhead of the untraced op time, widened by twice the
+/// standard error of that overhead (from the spread of the paired round
+/// differences), so host noise in a short run is not read as a failure to
+/// reconcile. The reported overhead ratio is of round wall times, like
+/// every other round ratio.
 pub fn reconcile(
     out: &mut Outcome,
     round_ops: usize,
     traced_span_ns: &[u128],
+    traced_busy_ns: &[u128],
+    untraced_busy_ns: &[u128],
     traced_secs: &[f64],
     untraced_secs: &[f64],
 ) {
     let ops = (round_ops * crate::threads::THREADS) as f64;
-    let per_op = |secs: &[f64]| median(secs) * 1e9 / round_ops as f64;
-    let traced_op = per_op(traced_secs);
-    let untraced_op = per_op(untraced_secs);
-    let spans: Vec<f64> = traced_span_ns.iter().map(|ns| *ns as f64 / ops).collect();
-    let span_sum = median(&spans);
+    let per_op = |ns: &[u128]| ns.iter().map(|n| *n as f64 / ops).collect::<Vec<f64>>();
+    let (traced, untraced) = (per_op(traced_busy_ns), per_op(untraced_busy_ns));
+    let traced_op = median(&traced);
+    let untraced_op = median(&untraced);
+    let span_sum = median(&per_op(traced_span_ns));
     let residual = untraced_op - span_sum;
     let overhead_ns = traced_op - untraced_op;
-    let diffs: Vec<f64> = traced_secs
-        .iter()
-        .zip(untraced_secs)
-        .map(|(t, u)| (t - u) * 1e9 / round_ops as f64)
-        .collect();
+    let diffs: Vec<f64> = traced.iter().zip(&untraced).map(|(t, u)| t - u).collect();
     let centre = median(&diffs);
     let deviations: Vec<f64> = diffs.iter().map(|d| (d - centre).abs()).collect();
     // Median absolute deviation, scaled to a standard deviation.

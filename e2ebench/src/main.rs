@@ -36,10 +36,12 @@ const WORKLOADS: [&str; 4] = [
     "phone_apps",
 ];
 
-const ESTIMATOR: &str = "throughput: ops of the timed immune rounds / their summed wall time; \
-op latency: nearest-rank p50/p99 of a seeded sample of ops of the timed rounds, per round then the \
-median over rounds when every timed round has 1000 samples, else pooled; \
-timed rounds: all, except on phone_apps the fastest 10% by time per op; \
+const ESTIMATOR: &str = "timed rounds: all, except on phone_apps the fastest 5% by time per op; \
+throughput: ops of the timed rounds / their summed wall time, except on phone_apps the median of \
+their own rates; \
+op latency: nearest-rank p50/p99 of a seeded sample of ops, per round then the median over the \
+timed rounds when every round has 1000 samples (always on phone_apps, 108 launches a round), \
+else pooled; \
 overhead: median over all interleaved round pairs of immune / bare wall time; \
 setup: median of the fastest 10% of repeated set-ups; \
 memory: median over rounds at round end";

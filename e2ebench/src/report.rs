@@ -115,10 +115,13 @@ pub struct EndToEnd {
     pub setup_secs: Vec<f64>,
     pub memory_bytes: Vec<f64>,
     /// When set, throughput and latency come from this share of the
-    /// rounds, fewest seconds per op first. For rounds that repeat a fixed
-    /// amount of work and last far less than the host's slow stretches, it
-    /// keeps the undisturbed rounds, so the figures do not follow how much
-    /// of a run the host spent slowed down. `None` uses every round.
+    /// rounds, fewest seconds per op first: throughput is the median of
+    /// their own rates, and each latency percentile is taken per round and
+    /// then the median over them, however few samples a round has. For
+    /// short rounds of a fixed amount of work, this keeps the rounds the
+    /// host did not slow down, so the figures do not follow how much of a
+    /// run it spent slowed. `None` times every round: throughput is the ops
+    /// over their summed wall time.
     pub fastest_rounds: Option<f64>,
 }
 
@@ -141,24 +144,31 @@ fn fastest(n: usize, share: f64, key: impl Fn(usize) -> f64) -> Vec<usize> {
 impl EndToEnd {
     pub fn into_metrics(self, out: &mut Outcome) {
         let rounds = self.immune_secs.len();
+        let per_op = |i: usize| self.immune_secs[i] / self.round_ops[i].max(1.0);
         let timed = match self.fastest_rounds {
-            Some(share) => fastest(rounds, share, |i| {
-                self.immune_secs[i] / self.round_ops[i].max(1.0)
-            }),
+            Some(share) => fastest(rounds, share, per_op),
             None => (0..rounds).collect(),
         };
-        // Ops over the summed wall time of the timed rounds: host speed
-        // drifts within a run, and the ratio weighs every stretch by its
-        // length where a median of per-round rates would pick one.
-        let ops: f64 = timed.iter().map(|&i| self.round_ops[i]).sum();
-        let secs: f64 = timed.iter().map(|&i| self.immune_secs[i]).sum();
         let m = &mut out.metrics;
-        m.insert("throughput_ops_s", ops / secs.max(1e-12));
-        // Per-round percentiles, then their median across rounds, when every
-        // timed round has enough samples for ten beyond its p99; otherwise
-        // one percentile over the timed rounds' samples pooled.
+        let throughput = if self.fastest_rounds.is_some() {
+            let rates: Vec<f64> = timed.iter().map(|&i| 1.0 / per_op(i).max(1e-15)).collect();
+            median(&rates)
+        } else {
+            // Ops over the summed wall time: host speed drifts within a run,
+            // and the ratio weighs every stretch by its length where a
+            // median of per-round rates would pick one.
+            let ops: f64 = self.round_ops.iter().sum();
+            let secs: f64 = self.immune_secs.iter().sum();
+            ops / secs.max(1e-12)
+        };
+        m.insert("throughput_ops_s", throughput);
+        // Per-round percentiles, then their median across the timed rounds,
+        // when every round has enough samples for ten beyond its p99 (or
+        // always, with `fastest_rounds`); otherwise one percentile over all
+        // samples pooled.
         let latencies: Vec<&Vec<u64>> = timed.iter().map(|&i| &self.latencies_ns[i]).collect();
-        let per_round = latencies.iter().all(|r| r.len() >= PER_ROUND_SAMPLES);
+        let per_round =
+            self.fastest_rounds.is_some() || latencies.iter().all(|r| r.len() >= PER_ROUND_SAMPLES);
         let latency = |q: f64| {
             if per_round {
                 let each: Vec<f64> = latencies.iter().map(|r| percentile(r, q)).collect();

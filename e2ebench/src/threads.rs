@@ -80,6 +80,11 @@ pub struct LoopResult {
     pub tracers: Vec<Tracer>,
     /// Section span time of each traced round, both threads summed.
     pub traced_span_ns: Vec<u128>,
+    /// Time each thread spent in its op loop, per round of the measured
+    /// mode and of its twin, both threads summed: the round time without
+    /// the barrier waits of a thread that finished first.
+    pub primary_busy_ns: Vec<u128>,
+    pub twin_busy_ns: Vec<u128>,
     /// Engine counter deltas summed over the traced rounds only.
     pub traced_stats: Stats,
 }
@@ -92,6 +97,7 @@ struct ThreadState {
     refused: u64,
     tracer: Option<Tracer>,
     round_span_ns: Vec<u128>,
+    busy_ns: [Vec<u128>; 3],
 }
 
 fn run_round<W: ClosedLoop>(w: &W, thread: usize, mode: Mode, st: &mut ThreadState) {
@@ -101,6 +107,7 @@ fn run_round<W: ClosedLoop>(w: &W, thread: usize, mode: Mode, st: &mut ThreadSta
         st.latencies.push(Vec::new());
     }
     let spans_before = st.tracer.as_ref().map_or(0, Tracer::section_span_ns);
+    let started = Instant::now();
     for _ in 0..w.round_ops() {
         let index = st.cursor[m] % len;
         st.cursor[m] += 1;
@@ -135,6 +142,7 @@ fn run_round<W: ClosedLoop>(w: &W, thread: usize, mode: Mode, st: &mut ThreadSta
             st.refused += 1;
         }
     }
+    st.busy_ns[m].push(started.elapsed().as_nanos());
     if mode == Mode::Traced {
         let after = st.tracer.as_ref().map_or(0, Tracer::section_span_ns);
         st.round_span_ns.push(after - spans_before);
@@ -228,15 +236,28 @@ pub fn drive<W: ClosedLoop>(
         }
         result.refused += st.refused;
         result.tracers.extend(st.tracer);
-        if result.traced_span_ns.is_empty() {
-            result.traced_span_ns = st.round_span_ns;
+        let [immune, bare, traced_busy] = st.busy_ns;
+        let (primary_busy, twin_busy) = if traced {
+            (traced_busy, immune)
         } else {
-            for (round, ns) in result.traced_span_ns.iter_mut().zip(st.round_span_ns) {
-                *round += ns;
-            }
-        }
+            (immune, bare)
+        };
+        add_rounds(&mut result.traced_span_ns, st.round_span_ns);
+        add_rounds(&mut result.primary_busy_ns, primary_busy);
+        add_rounds(&mut result.twin_busy_ns, twin_busy);
     }
     result
+}
+
+/// Adds one thread's per-round figures to the sums over threads.
+fn add_rounds(acc: &mut Vec<u128>, thread: Vec<u128>) {
+    if acc.is_empty() {
+        *acc = thread;
+    } else {
+        for (round, ns) in acc.iter_mut().zip(thread) {
+            *round += ns;
+        }
+    }
 }
 
 /// One immune section driven by hand: exactly the calls `ImmuneMutex::lock_at`
@@ -338,6 +359,8 @@ pub fn report(
             out,
             round_ops,
             &result.traced_span_ns,
+            &result.primary_busy_ns,
+            &result.twin_busy_ns,
             &result.primary_secs,
             &result.twin_secs,
         );

@@ -51,10 +51,14 @@ fn declared(manifest: &JsonValue, key: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Runs one short benchmark and returns (stamp line, result object).
+/// Runs one short benchmark and returns (stamp line, result object). The
+/// traced run gets three seconds: its reconciliation check compares round
+/// pairs, and a one-second run of `fleet_nested` holds about six, too few
+/// to tell the tracing overhead (about 5% of an op) from host noise.
 fn run(workload: &str, trace: u8) -> (JsonValue, JsonValue) {
+    let seconds = if trace == 1 { "3" } else { "1" };
     let out = Command::new(env!("CARGO_BIN_EXE_e2ebench"))
-        .args(["--workload", workload, "--seed", "3", "--seconds", "1"])
+        .args(["--workload", workload, "--seed", "3", "--seconds", seconds])
         .args(["--trace", &trace.to_string()])
         .output()
         .expect("the benchmark binary runs");
