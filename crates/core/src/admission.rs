@@ -71,7 +71,6 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Number of 64-bit words in the Bloom bitset (4096 bits).
 const BLOOM_WORDS: usize = 64;
-const BLOOM_BITS: u64 = (BLOOM_WORDS * 64) as u64;
 /// Number of blocker reference-count stripes.
 const BLOCKER_STRIPES: usize = 256;
 
@@ -151,20 +150,6 @@ impl AdmissionSummary {
         }
     }
 
-    fn bloom_slots(key: SiteKey) -> [(usize, u64); 2] {
-        // Two probes derived from the (already well-mixed FNV) site key:
-        // the key itself and a Fibonacci remix of it.
-        let h1 = key.raw();
-        let h2 = key
-            .raw()
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .rotate_left(32);
-        [h1, h2].map(|h| {
-            let bit = h % BLOOM_BITS;
-            ((bit / 64) as usize, 1u64 << (bit % 64))
-        })
-    }
-
     fn blocker_stripe(owner: OwnerId) -> usize {
         // Keep thread and task identity spaces apart before striping.
         let raw = match owner {
@@ -177,7 +162,7 @@ impl AdmissionSummary {
     /// True if `key` *may* be the site of a history outer position. A
     /// `false` answer is definitive: no signature ever mentioned the site.
     pub fn site_may_be_in_history(&self, key: SiteKey) -> bool {
-        Self::bloom_slots(key)
+        key.bloom_probes(BLOOM_WORDS)
             .iter()
             .all(|&(word, mask)| self.bloom[word].load(Ordering::Acquire) & mask != 0)
     }
@@ -256,7 +241,7 @@ impl AdmissionSummary {
         let outers = snapshot.outer_table();
         for id in start..len {
             if let Some(stack) = outers.stack(crate::position::PositionId::new(id as u32)) {
-                for (word, mask) in Self::bloom_slots(stack.site_key()) {
+                for (word, mask) in stack.site_key().bloom_probes(BLOOM_WORDS) {
                     self.bloom[word].fetch_or(mask, Ordering::Release);
                 }
             }

@@ -10,8 +10,8 @@
 use crate::SiteId;
 use std::fmt;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds `bytes` into an FNV-1a state. FNV is used (rather than
 /// `DefaultHasher`) because site keys are *persisted* and exchanged between
@@ -65,6 +65,18 @@ impl SiteKey {
     /// The raw 64-bit hash.
     pub const fn raw(self) -> u64 {
         self.0
+    }
+
+    /// The key's two probes into a Bloom bitset of `words` 64-bit words, as
+    /// (word index, bit mask): the key itself and a Fibonacci remix of it
+    /// (the key is already a well-mixed FNV hash).
+    pub fn bloom_probes(self, words: usize) -> [(usize, u64); 2] {
+        let bits = words as u64 * 64;
+        let remix = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32);
+        [self.0, remix].map(|h| {
+            let bit = h % bits;
+            ((bit / 64) as usize, 1u64 << (bit % 64))
+        })
     }
 }
 

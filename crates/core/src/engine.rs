@@ -22,14 +22,15 @@ use crate::config::Config;
 use crate::detection::{classify_cycle, last_history_hold};
 use crate::error::{DimmunixError, Result};
 use crate::events::{EventKind, EventLog};
+use crate::fnv::FnvMap;
 use crate::history::{History, HistoryLog, RecoveryReport};
 use crate::position::{PositionId, PositionTable};
-use crate::rag::{AccessMode, Rag, YieldRecord};
+use crate::rag::{find_cycle_in, AccessMode, Rag, YieldRecord};
+use crate::sharded::RequestScratch;
 use crate::signature::{Signature, SignatureKind, SignaturePair};
 use crate::snapshot::HistorySnapshot;
 use crate::stats::Stats;
 use crate::{LockId, LogicalTime, OwnerId, SignatureId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The engine's answer to a lock request.
@@ -102,7 +103,7 @@ pub struct Dimmunix {
     /// the map stays empty on engines that never touch a history site.
     ///
     /// [`Position::history_ref`]: crate::Position::history_ref
-    outer_to_local: HashMap<PositionId, PositionId>,
+    outer_to_local: FnvMap<PositionId, PositionId>,
     /// Number of snapshot outer ids already linked against the local
     /// position table; ids past this watermark are reconciled by the next
     /// [`install_snapshot`](Dimmunix::install_snapshot).
@@ -124,6 +125,9 @@ pub struct Dimmunix {
     /// path, explicit starting history, or shard stamped from a shared
     /// snapshot).
     recovery: Option<RecoveryReport>,
+    /// Reused buffers of the detection search and the instantiation check
+    /// (borrowed by requests whose home this engine is).
+    scratch: RequestScratch,
 }
 
 impl Default for Dimmunix {
@@ -192,7 +196,7 @@ impl Dimmunix {
         Dimmunix {
             positions: PositionTable::new(config.stack_depth),
             rag: Rag::new(),
-            outer_to_local: HashMap::new(),
+            outer_to_local: FnvMap::default(),
             // The local table is empty, so there is nothing to link yet;
             // new positions are linked as they are interned.
             linked_outers: snapshot.outer_len(),
@@ -203,6 +207,7 @@ impl Dimmunix {
             pending_wakeups: Vec::new(),
             admission: None,
             recovery: None,
+            scratch: RequestScratch::default(),
             config,
         }
     }
@@ -570,8 +575,13 @@ impl Dimmunix {
         // --- Detection -------------------------------------------------
         if self.config.detection {
             let include_yields = self.config.starvation_handling;
-            if let Some(steps) = self.rag.find_cycle_from(t, include_yields) {
-                let detected = classify_cycle(&self.rag, &self.positions, &steps);
+            let cycle = &mut self.scratch.cycle;
+            let rag = &self.rag;
+            let found = find_cycle_in(t, cycle, |th, out| {
+                rag.successors_into(th, include_yields, out)
+            });
+            if found {
+                let detected = classify_cycle(&self.rag, &self.positions, &self.scratch.cycle.path);
                 let is_starvation = detected.involves_yield;
                 let (sig_id, new) = self.insert_signature(detected.signature.clone());
                 if is_starvation {
@@ -638,9 +648,19 @@ impl Dimmunix {
                 outer.map_or(0, |o| self.snapshot.index().signatures_at(o).len() as u64);
             // Same implementation as the sharded engine's merged check,
             // called with this engine as the only shard.
+            let mut candidates = std::mem::take(&mut self.scratch.candidates);
             let inst = outer.and_then(|o| {
-                crate::sharded::find_instantiation_merged(&[&*self], 0, t, o, l, mode)
+                crate::sharded::find_instantiation_merged(
+                    std::slice::from_ref(&*self),
+                    0,
+                    t,
+                    o,
+                    l,
+                    mode,
+                    &mut candidates,
+                )
             });
+            self.scratch.candidates = candidates;
             if let Some(inst) = inst {
                 let mut park = true;
                 if self.config.starvation_handling && self.would_starve(t, &inst.blockers) {
@@ -925,6 +945,12 @@ impl Dimmunix {
             summary.note_yield_cleared(rec, *shard);
         }
         taken
+    }
+
+    /// The reusable request buffers (cross-shard orchestration borrows the
+    /// home shard's).
+    pub(crate) fn scratch_mut(&mut self) -> &mut RequestScratch {
+        &mut self.scratch
     }
 
     /// Mutable access to the position table (cross-shard orchestration).

@@ -61,6 +61,7 @@ mod detection;
 mod engine;
 mod error;
 mod events;
+mod fnv;
 mod history;
 mod ids;
 pub mod json;
@@ -83,6 +84,7 @@ pub use detection::{classify_cycle, DetectedCycle};
 pub use engine::{Dimmunix, RequestOutcome};
 pub use error::{DimmunixError, Result};
 pub use events::{Event, EventKind, EventLog};
+pub use fnv::{FnvBuildHasher, FnvHasher, FnvMap};
 pub use history::{
     signature_from_json_value, signature_from_log_record, signature_to_log_record, History,
     HistoryLog, LogReplay, RecoveryReport,
@@ -90,13 +92,11 @@ pub use history::{
 pub use ids::{LockId, LogicalTime, OwnerId, ProcessId, SignatureId, SiteId, TaskId, ThreadId};
 pub use position::{OwnerQueue, Position, PositionId, PositionTable, StackInterner, ThreadQueue};
 pub use pvec::{PersistentMap, PersistentVec};
-pub use rag::{
-    find_cycle_with, AccessMode, CycleStep, HeldEntry, LockOwner, Rag, WaitEdge, YieldRecord,
-};
+pub use rag::{AccessMode, CycleStep, HeldEntry, LockOwner, Rag, WaitEdge, YieldRecord};
 pub use sharded::{
     broadcast_signature, fast_path_eligible, holds_mask_with, request_cross_shard,
-    stale_shard_after, stale_shard_consumed, try_request_local, LocalDecision, ShardRouter,
-    ShardedDimmunix, MAX_SHARDS,
+    stale_shard_after, stale_shard_consumed, try_request_local, EngineSlot, LocalDecision,
+    ShardRouter, ShardedDimmunix, MAX_SHARDS,
 };
 pub use signature::{Signature, SignatureKind, SignaturePair};
 pub use snapshot::{HistorySnapshot, OuterTable};

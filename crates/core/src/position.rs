@@ -11,6 +11,7 @@
 //! exactly like OS threads.
 
 use crate::callstack::{CallStack, SiteKey};
+use crate::fnv::FnvMap;
 use crate::OwnerId;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -141,23 +142,17 @@ impl OwnerQueue {
         self.counts.keys().copied().collect()
     }
 
-    /// The first (in owner-id order) distinct owners satisfying `keep`, at
-    /// most `cap` of them. The avoidance hot path uses this to bound an
+    /// The distinct owners satisfying `keep`, in owner-id order, lazily.
+    /// The avoidance hot path takes a prefix of these per slot, bounding an
     /// instantiation check by the signature's arity instead of by the
     /// position's crowd: an injective assignment of `k` slots never needs
     /// more than `k` candidates per slot, so any deterministic `cap ≥ k`
     /// prefix preserves the exact matching decision.
-    pub fn distinct_owners_capped(
-        &self,
-        cap: usize,
-        mut keep: impl FnMut(OwnerId) -> bool,
-    ) -> Vec<OwnerId> {
-        self.counts
-            .keys()
-            .copied()
-            .filter(|o| keep(*o))
-            .take(cap)
-            .collect()
+    pub fn distinct_owners_where<'a>(
+        &'a self,
+        mut keep: impl FnMut(OwnerId) -> bool + 'a,
+    ) -> impl Iterator<Item = OwnerId> + 'a {
+        self.counts.keys().copied().filter(move |o| keep(*o))
     }
 }
 
@@ -335,12 +330,13 @@ pub struct PositionTable {
     /// shards via [`PositionTable::with_interner`].
     interner: Arc<StackInterner>,
     by_stack: HashMap<Arc<CallStack>, PositionId>,
-    /// Stable-key index: the **first** position interned with each
-    /// [`SiteKey`]. Keys deliberately coarsen identity (absolute lines are
-    /// normalized away), so several positions may share one key; first-wins
-    /// is fine because the key lookup only answers "does a local position
-    /// prove this site exists here" for foreign-antibody screening.
-    by_key: HashMap<SiteKey, PositionId>,
+    /// Address of each position's own shared stack → its id: the repeat
+    /// path for callers that hold the interner's `Arc` of a site (the
+    /// runtime's per-site cache does). Sound without a content check
+    /// because every key is the address of a stack this table keeps alive
+    /// in `positions`, so no other live `CallStack` can sit at that address
+    /// and the address is never reused while the table exists.
+    by_ptr: FnvMap<usize, PositionId>,
     positions: Vec<Position>,
 }
 
@@ -359,7 +355,7 @@ impl PositionTable {
             depth: depth.max(1),
             interner,
             by_stack: HashMap::new(),
-            by_key: HashMap::new(),
+            by_ptr: FnvMap::default(),
             positions: Vec::new(),
         }
     }
@@ -393,31 +389,34 @@ impl PositionTable {
     }
 
     /// Interns `stack` (after truncation) and returns its id.
+    ///
+    /// A `stack` that *is* the shared stack of an interned position —
+    /// reached through the [`StackInterner`]'s `Arc`, as the runtime's
+    /// per-site cache does — resolves by address, without truncating,
+    /// hashing or allocating. Any other stack takes the content path.
     pub fn intern(&mut self, stack: &CallStack) -> PositionId {
+        if let Some(&id) = self.by_ptr.get(&Self::address(stack)) {
+            return id;
+        }
         let truncated = stack.truncated(self.depth);
         if let Some(id) = self.by_stack.get(&truncated) {
             return *id;
         }
         let shared = self.interner.intern(&truncated);
         let id = PositionId(self.positions.len() as u32);
-        let position = Position::new(id, Arc::clone(&shared));
-        self.by_key.entry(position.site_key()).or_insert(id);
-        self.positions.push(position);
+        self.positions.push(Position::new(id, Arc::clone(&shared)));
+        self.by_ptr.insert(Self::address(&shared), id);
         self.by_stack.insert(shared, id);
         id
+    }
+
+    fn address(stack: &CallStack) -> usize {
+        stack as *const CallStack as usize
     }
 
     /// Looks up the id of an already-interned stack without inserting.
     pub fn lookup(&self, stack: &CallStack) -> Option<PositionId> {
         self.by_stack.get(&stack.truncated(self.depth)).copied()
-    }
-
-    /// The first position interned with the given stable site key, if any.
-    /// This is the foreign-antibody screening query: a hit proves that a
-    /// program location with this content-hash identity exists (and has
-    /// synchronized) in *this* process.
-    pub fn lookup_by_key(&self, key: SiteKey) -> Option<PositionId> {
-        self.by_key.get(&key).copied()
     }
 
     /// Returns the position data for `id`, if it exists.
@@ -457,8 +456,8 @@ impl PositionTable {
         // allocations through the interner, so only the Arc handle counts).
         total += self.by_stack.len()
             * (std::mem::size_of::<Arc<CallStack>>() + std::mem::size_of::<PositionId>());
-        total += self.by_key.len()
-            * (std::mem::size_of::<SiteKey>() + std::mem::size_of::<PositionId>());
+        total +=
+            self.by_ptr.len() * (std::mem::size_of::<usize>() + std::mem::size_of::<PositionId>());
         total
     }
 }
@@ -575,7 +574,7 @@ mod tests {
             q.push(crate::ThreadId::new(i)); // duplicates collapse
         }
         let excluded = OwnerId::thread(2);
-        let capped = q.distinct_owners_capped(4, |o| o != excluded);
+        let capped: Vec<OwnerId> = q.distinct_owners_where(|o| o != excluded).take(4).collect();
         assert_eq!(
             capped,
             vec![
@@ -585,20 +584,19 @@ mod tests {
                 OwnerId::thread(4),
             ]
         );
-        assert_eq!(q.distinct_owners_capped(99, |_| true).len(), 10);
+        assert_eq!(q.distinct_owners_where(|_| true).count(), 10);
     }
 
-    /// Site keys are assigned at intern time over the *truncated* stack and
-    /// answer the foreign-antibody screening query: the same site rendered
-    /// at shifted line numbers (a recompiled binary) resolves to the local
-    /// position by key even though the stacks differ structurally.
+    /// Site keys are assigned at intern time over the *truncated* stack:
+    /// the same site rendered at shifted line numbers (a recompiled binary)
+    /// keeps the position's key even though the stacks differ structurally,
+    /// and keys coarsen identity, so distinct positions may share one.
     #[test]
     fn intern_assigns_stable_site_keys() {
         let mut t = PositionTable::new(2);
         let id = t.intern(&stack(1));
         let p = t.get(id).unwrap();
         assert_eq!(p.site_key(), p.stack().site_key());
-        assert_eq!(t.lookup_by_key(p.site_key()), Some(id));
         // The same site from a "recompiled binary": every line shifted.
         let shifted = CallStack::from_frames(vec![
             Frame::new("lock", "wrapper.rs", 1 + 40),
@@ -606,25 +604,17 @@ mod tests {
         ]);
         assert_eq!(t.lookup(&shifted), None, "absolute stacks differ");
         assert_eq!(
-            t.lookup_by_key(shifted.site_key()),
-            Some(id),
+            shifted.site_key(),
+            p.site_key(),
             "site keys must survive the shift"
         );
-        assert_eq!(t.lookup_by_key(SiteKey::new(0xdead_beef)), None);
-    }
 
-    /// Colliding keys (coarsened identity) resolve to the first interned
-    /// position and never panic or churn the index.
-    #[test]
-    fn colliding_site_keys_are_first_wins() {
         let mut t = PositionTable::new(1);
         // Depth-1 keys ignore lines: these two distinct positions collide.
         let a = t.intern(&CallStack::single(Frame::new("f", "x.rs", 1)));
         let b = t.intern(&CallStack::single(Frame::new("f", "x.rs", 2)));
         assert_ne!(a, b);
-        let key = t.get(a).unwrap().site_key();
-        assert_eq!(t.get(b).unwrap().site_key(), key);
-        assert_eq!(t.lookup_by_key(key), Some(a));
+        assert_eq!(t.get(a).unwrap().site_key(), t.get(b).unwrap().site_key());
     }
 
     #[test]
@@ -659,6 +649,23 @@ mod tests {
         b.intern(&stack(8));
         assert_eq!(interner.len(), 2);
         assert!(!interner.is_empty());
+    }
+
+    /// A stack reached through the shared interner resolves by address; a
+    /// content-equal copy elsewhere in memory still resolves by content,
+    /// and a *different* stack never aliases a position by address.
+    #[test]
+    fn interner_arcs_resolve_by_address() {
+        let interner = Arc::new(StackInterner::new());
+        let mut t = PositionTable::with_interner(1, Arc::clone(&interner));
+        let id = t.intern(&stack(4));
+        let shared = interner.intern(&stack(4).truncated(1));
+        assert!(Arc::ptr_eq(&shared, t.get(id).unwrap().stack_shared()));
+        assert_eq!(t.intern(&shared), id, "address path");
+        assert_eq!(t.intern(&stack(4).truncated(1)), id, "content path");
+        let other = t.intern(&stack(5));
+        assert_ne!(other, id);
+        assert_eq!(t.len(), 2);
     }
 
     /// Interning the same stack twice through one interner returns the same

@@ -27,9 +27,9 @@
 //! are the one-owner special case ([`AccessMode::Exclusive`]), for which
 //! every query below degenerates to the paper's single-owner semantics.
 
+use crate::fnv::FnvMap;
 use crate::position::PositionId;
 use crate::{LockId, OwnerId, SignatureId};
-use std::collections::HashMap;
 
 /// How an owner holds (or requests) a lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,7 +56,7 @@ impl AccessMode {
 }
 
 /// Why an owner is waiting on another owner in the wait-for relation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitEdge {
     /// The owner requests this lock, held by the successor owner.
     Lock(LockId),
@@ -145,7 +145,7 @@ pub struct LockNode {
 
 /// One step of a wait-for cycle: `owner` waits on the *next* entry's owner
 /// through `edge`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CycleStep {
     /// The waiting owner.
     pub owner: OwnerId,
@@ -156,8 +156,8 @@ pub struct CycleStep {
 /// The resource allocation graph.
 #[derive(Debug, Clone, Default)]
 pub struct Rag {
-    owners_map: HashMap<OwnerId, OwnerNode>,
-    locks: HashMap<LockId, LockNode>,
+    owners_map: FnvMap<OwnerId, OwnerNode>,
+    locks: FnvMap<LockId, LockNode>,
     /// Fallback acquisition counter used when the caller does not supply a
     /// sequence number (single-engine configuration).
     next_seq: u64,
@@ -521,25 +521,37 @@ impl Rag {
     /// contribute edges (needed for starvation detection).
     pub fn successors(&self, t: OwnerId, include_yields: bool) -> Vec<(OwnerId, WaitEdge)> {
         let mut out = Vec::new();
-        if let Some(node) = self.owners_map.get(&t) {
-            if let Some(edge) = node.requesting {
-                for owner in self.owners(edge.lock) {
-                    if owner.owner != t && edge.mode.conflicts_with(owner.mode) {
-                        out.push((owner.owner, WaitEdge::Lock(edge.lock)));
-                    }
+        self.successors_into(t, include_yields, &mut out);
+        out
+    }
+
+    /// [`successors`](Rag::successors) appended to a caller-owned buffer,
+    /// so the detection search reuses one edge buffer across all nodes.
+    pub fn successors_into(
+        &self,
+        t: OwnerId,
+        include_yields: bool,
+        out: &mut Vec<(OwnerId, WaitEdge)>,
+    ) {
+        let Some(node) = self.owners_map.get(&t) else {
+            return;
+        };
+        if let Some(edge) = node.requesting {
+            for owner in self.owners(edge.lock) {
+                if owner.owner != t && edge.mode.conflicts_with(owner.mode) {
+                    out.push((owner.owner, WaitEdge::Lock(edge.lock)));
                 }
             }
-            if include_yields {
-                if let Some(y) = &node.yielding {
-                    for b in &y.blockers {
-                        if *b != t {
-                            out.push((*b, WaitEdge::Yield(y.signature)));
-                        }
+        }
+        if include_yields {
+            if let Some(y) = &node.yielding {
+                for b in &y.blockers {
+                    if *b != t {
+                        out.push((*b, WaitEdge::Yield(y.signature)));
                     }
                 }
             }
         }
-        out
     }
 
     /// Searches for a wait-for cycle containing `start`.
@@ -548,7 +560,11 @@ impl Rag {
     /// owner of entry `(i + 1) % len` through the given edge. Returns `None`
     /// if `start` is not part of any cycle.
     pub fn find_cycle_from(&self, start: OwnerId, include_yields: bool) -> Option<Vec<CycleStep>> {
-        find_cycle_with(start, |t| self.successors(t, include_yields))
+        let mut scratch = CycleScratch::default();
+        find_cycle_in(start, &mut scratch, |t, out| {
+            self.successors_into(t, include_yields, out)
+        })
+        .then_some(scratch.path)
     }
 
     /// Estimated resident memory of the graph in bytes.
@@ -569,58 +585,107 @@ impl Rag {
     }
 }
 
-/// Searches for a wait-for cycle containing `start` over an arbitrary
-/// successor function.
-///
-/// This is [`Rag::find_cycle_from`] with the graph abstracted away: the
-/// sharded engine calls it with a closure that concatenates the successor
-/// edges of every shard's RAG, which yields exactly the wait-for relation a
-/// single monolithic RAG would contain (an owner's out-edges all live in the
-/// shard that handled its outstanding request).
-pub fn find_cycle_with<F>(start: OwnerId, mut successors: F) -> Option<Vec<CycleStep>>
-where
-    F: FnMut(OwnerId) -> Vec<(OwnerId, WaitEdge)>,
-{
-    // Depth-first search over the wait-for relation, recording the path.
-    // Out-degree per owner is 1 (the requested lock's holders) plus the
-    // blockers of a yield record, so the graph is tiny in practice.
-    let mut path: Vec<CycleStep> = Vec::new();
-    let mut on_path: Vec<OwnerId> = Vec::new();
-    let mut visited: Vec<OwnerId> = Vec::new();
-    dfs_cycle(
-        start,
-        start,
-        &mut successors,
-        &mut path,
-        &mut on_path,
-        &mut visited,
-    )
-    .then_some(path)
+/// Reusable buffers of the wait-for cycle search, so an engine that keeps
+/// one searches without allocating once the buffers have grown.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CycleScratch {
+    /// The cycle found by the last successful search.
+    pub(crate) path: Vec<CycleStep>,
+    on_path: Vec<OwnerId>,
+    visited: Vec<OwnerId>,
+    /// Successor edges of every node on the search stack, concatenated.
+    edges: Vec<(OwnerId, WaitEdge)>,
+    frames: Vec<DfsFrame>,
 }
 
-fn dfs_cycle<F>(
-    current: OwnerId,
-    target: OwnerId,
-    successors: &mut F,
-    path: &mut Vec<CycleStep>,
-    on_path: &mut Vec<OwnerId>,
-    visited: &mut Vec<OwnerId>,
+/// One node on the search stack: its owner and its slice of `edges`.
+#[derive(Debug, Clone, Copy)]
+struct DfsFrame {
+    owner: OwnerId,
+    start: usize,
+    end: usize,
+    cursor: usize,
+}
+
+/// Depth-first search for a wait-for cycle through `start`, leaving the
+/// cycle in `scratch.path` and returning whether one was found.
+///
+/// The successor function abstracts the graph away: [`Rag::find_cycle_from`]
+/// searches one RAG, the sharded engine a function that concatenates the
+/// successor edges of every shard's RAG — exactly the wait-for relation a
+/// single monolithic RAG would contain (an owner's out-edges all live in the
+/// shard that handled its outstanding request). Entry `i` of
+/// the path waits on the owner of entry `(i + 1) % len` through its edge.
+/// `successors(t, out)` appends `t`'s out-edges to `out`.
+///
+/// Iterative, over one flat edge buffer, but visits nodes and edges in
+/// exactly the order of the textbook recursion (each node's successors are
+/// listed once, when the search enters it), so the cycle it reports is the
+/// recursive search's cycle. Out-degree per owner is 1 (the requested
+/// lock's holders) plus the blockers of a yield record, so the graph is
+/// tiny in practice.
+pub(crate) fn find_cycle_in<F>(
+    start: OwnerId,
+    scratch: &mut CycleScratch,
+    mut successors: F,
 ) -> bool
 where
-    F: FnMut(OwnerId) -> Vec<(OwnerId, WaitEdge)>,
+    F: FnMut(OwnerId, &mut Vec<(OwnerId, WaitEdge)>),
 {
-    on_path.push(current);
-    for (next, edge) in successors(current) {
-        if next == target && (!path.is_empty() || current != target) {
-            path.push(CycleStep {
-                owner: current,
-                edge,
-            });
+    let CycleScratch {
+        path,
+        on_path,
+        visited,
+        edges,
+        frames,
+    } = scratch;
+    path.clear();
+    on_path.clear();
+    visited.clear();
+    edges.clear();
+    frames.clear();
+    let mut enter = |owner: OwnerId,
+                     edges: &mut Vec<(OwnerId, WaitEdge)>,
+                     frames: &mut Vec<DfsFrame>,
+                     on_path: &mut Vec<OwnerId>| {
+        on_path.push(owner);
+        let start = edges.len();
+        successors(owner, edges);
+        frames.push(DfsFrame {
+            owner,
+            start,
+            end: edges.len(),
+            cursor: start,
+        });
+    };
+    enter(start, edges, frames, on_path);
+    while let Some(frame) = frames.last_mut() {
+        let current = frame.owner;
+        if frame.cursor == frame.end {
+            // Every successor explored: the node is a dead end.
+            edges.truncate(frame.start);
+            frames.pop();
             on_path.pop();
-            return true;
+            visited.push(current);
+            if frames.is_empty() {
+                return false;
+            }
+            path.pop();
+            continue;
         }
-        if next == target && path.is_empty() && current == target {
-            // self-loop; ignore (reentrant acquisitions never produce one)
+        let (next, edge) = edges[frame.cursor];
+        frame.cursor += 1;
+        if next == start {
+            // A self-loop on `start` itself is ignored (reentrant
+            // acquisitions never produce one); any other edge back to
+            // `start` closes the cycle.
+            if !path.is_empty() || current != start {
+                path.push(CycleStep {
+                    owner: current,
+                    edge,
+                });
+                return true;
+            }
             continue;
         }
         if on_path.contains(&next) || visited.contains(&next) {
@@ -630,14 +695,8 @@ where
             owner: current,
             edge,
         });
-        if dfs_cycle(next, target, successors, path, on_path, visited) {
-            on_path.pop();
-            return true;
-        }
-        path.pop();
+        enter(next, edges, frames, on_path);
     }
-    on_path.pop();
-    visited.push(current);
     false
 }
 
@@ -851,6 +910,99 @@ mod tests {
         rag.acquire(t(1), l(1), p(0));
         rag.set_request(t(1), l(1), p(1));
         assert!(rag.successors(t(1), true).is_empty());
+    }
+
+    /// The textbook recursive search the iterative one replaced, kept as
+    /// its oracle: both must report the same cycle, edge for edge.
+    fn recursive_oracle(
+        start: OwnerId,
+        succ: &dyn Fn(OwnerId) -> Vec<(OwnerId, WaitEdge)>,
+    ) -> Option<Vec<CycleStep>> {
+        fn dfs(
+            current: OwnerId,
+            target: OwnerId,
+            succ: &dyn Fn(OwnerId) -> Vec<(OwnerId, WaitEdge)>,
+            path: &mut Vec<CycleStep>,
+            on_path: &mut Vec<OwnerId>,
+            visited: &mut Vec<OwnerId>,
+        ) -> bool {
+            on_path.push(current);
+            for (next, edge) in succ(current) {
+                if next == target && (!path.is_empty() || current != target) {
+                    path.push(CycleStep {
+                        owner: current,
+                        edge,
+                    });
+                    on_path.pop();
+                    return true;
+                }
+                if next == target || on_path.contains(&next) || visited.contains(&next) {
+                    continue;
+                }
+                path.push(CycleStep {
+                    owner: current,
+                    edge,
+                });
+                if dfs(next, target, succ, path, on_path, visited) {
+                    on_path.pop();
+                    return true;
+                }
+                path.pop();
+            }
+            on_path.pop();
+            visited.push(current);
+            false
+        }
+        let mut path = Vec::new();
+        dfs(
+            start,
+            start,
+            succ,
+            &mut path,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        )
+        .then_some(path)
+    }
+
+    #[test]
+    fn iterative_search_matches_the_recursive_oracle() {
+        // Seeded random wait-for graphs, dense enough that most starts sit on
+        // several cycles, so the *order* of exploration decides the answer.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut scratch = CycleScratch::default();
+        for _ in 0..2000 {
+            let nodes = 2 + next(7);
+            let graph: Vec<Vec<(OwnerId, WaitEdge)>> = (0..nodes)
+                .map(|_| {
+                    (0..next(4))
+                        .map(|e| {
+                            let edge = if next(3) == 0 {
+                                WaitEdge::Yield(SignatureId::new(e as usize))
+                            } else {
+                                WaitEdge::Lock(l(e))
+                            };
+                            (t(next(nodes)), edge)
+                        })
+                        .collect()
+                })
+                .collect();
+            let succ = |o: OwnerId| match o {
+                OwnerId::Thread(id) => graph[id.index() as usize].clone(),
+                OwnerId::Task(_) => Vec::new(),
+            };
+            for start in 0..nodes {
+                let found = find_cycle_in(t(start), &mut scratch, |o, out| out.extend(succ(o)));
+                let expected = recursive_oracle(t(start), &succ);
+                assert_eq!(found.then(|| scratch.path.clone()), expected);
+            }
+        }
     }
 
     #[test]

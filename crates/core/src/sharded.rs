@@ -80,14 +80,14 @@ use crate::callstack::CallStack;
 use crate::config::Config;
 use crate::engine::{Dimmunix, RequestOutcome};
 use crate::events::EventKind;
+use crate::fnv::FnvMap;
 use crate::history::History;
 use crate::position::PositionId;
-use crate::rag::{find_cycle_with, AccessMode, CycleStep, WaitEdge, YieldRecord};
+use crate::rag::{find_cycle_in, AccessMode, CycleScratch, CycleStep, WaitEdge, YieldRecord};
 use crate::signature::{Signature, SignatureKind, SignaturePair};
 use crate::snapshot::HistorySnapshot;
 use crate::stats::Stats;
 use crate::{LockId, OwnerId, SignatureId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Upper bound on the number of shards (holds-per-shard bookkeeping is a
@@ -254,6 +254,48 @@ pub fn try_request_local(
     LocalDecision::Decided(shard.request_at_mode(t, l, pos, mode))
 }
 
+/// One engine shard as the cross-shard request path sees it.
+///
+/// The decision runs directly over the caller's own shard slots — plain
+/// engines in [`ShardedDimmunix`], mutex guards over the runtime's shard
+/// cells — so no per-request vector of engine references is collected.
+pub trait EngineSlot {
+    /// The shard's engine.
+    fn engine(&self) -> &Dimmunix;
+    /// The shard's engine, mutably.
+    fn engine_mut(&mut self) -> &mut Dimmunix;
+}
+
+impl EngineSlot for Dimmunix {
+    fn engine(&self) -> &Dimmunix {
+        self
+    }
+
+    fn engine_mut(&mut self) -> &mut Dimmunix {
+        self
+    }
+}
+
+impl<T: EngineSlot + ?Sized> EngineSlot for std::sync::MutexGuard<'_, T> {
+    fn engine(&self) -> &Dimmunix {
+        (**self).engine()
+    }
+
+    fn engine_mut(&mut self) -> &mut Dimmunix {
+        (**self).engine_mut()
+    }
+}
+
+/// Reusable buffers of one engine's request decisions: the wait-for cycle
+/// search and the per-slot candidate lists of the instantiation check. A
+/// request borrows its home shard's buffers, so once they have grown to the
+/// workload's shape, deciding a request allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RequestScratch {
+    pub(crate) cycle: CycleScratch,
+    pub(crate) candidates: Vec<Vec<OwnerId>>,
+}
+
 /// Decides a request against the full multi-shard view.
 ///
 /// `shards` must contain **every** shard (the caller holds all of them, in
@@ -265,8 +307,8 @@ pub fn try_request_local(
 /// The decision logic mirrors [`Dimmunix::request_at`] step for step; only
 /// the state accessors are merged across shards as described in the module
 /// docs.
-pub fn request_cross_shard(
-    shards: &mut [&mut Dimmunix],
+pub fn request_cross_shard<S: EngineSlot>(
+    shards: &mut [S],
     router: &ShardRouter,
     t: impl Into<OwnerId>,
     l: LockId,
@@ -276,38 +318,40 @@ pub fn request_cross_shard(
 ) -> RequestOutcome {
     let t = t.into();
     let home = router.shard_of(l);
-    let pos = shards[home].intern_position(stack);
+    let h = shards[home].engine_mut();
+    let pos = h.intern_position(stack);
 
-    shards[home].tick();
-    shards[home].stats_mut().requests += 1;
-    shards[home].push_event(EventKind::Request {
+    h.tick();
+    h.stats_mut().requests += 1;
+    h.push_event(EventKind::Request {
         thread: t,
         lock: l,
         position: pos,
     });
 
-    if shards[home].config().is_disabled() {
-        shards[home].stats_mut().grants += 1;
-        shards[home].rag_mut().register_owner(t);
-        shards[home].rag_mut().register_lock(l);
-        shards[home].rag_mut().set_pending_grant(t, l, pos, mode);
+    if h.config().is_disabled() {
+        h.stats_mut().grants += 1;
+        h.rag_mut().register_owner(t);
+        h.rag_mut().register_lock(l);
+        h.rag_mut().set_pending_grant(t, l, pos, mode);
         return RequestOutcome::Granted;
     }
 
     // If the thread is retrying after a yield, it is no longer parked; the
     // record lives in the shard that answered the yielded request.
-    shards[home].clear_yield_tracked(t);
+    h.clear_yield_tracked(t);
     if let Some(prev) = prev_request_shard {
         if prev != home {
-            shards[prev].clear_yield_tracked(t);
+            shards[prev].engine_mut().clear_yield_tracked(t);
         }
     }
 
     // Reentrant fast path: a thread never deadlocks against itself on a
     // lock it already owns (in any mode).
-    if shards[home].rag().owns(l, t) {
-        shards[home].stats_mut().reentrant_grants += 1;
-        shards[home].push_event(EventKind::ReentrantGrant { thread: t, lock: l });
+    let h = shards[home].engine_mut();
+    if h.rag().owns(l, t) {
+        h.stats_mut().reentrant_grants += 1;
+        h.push_event(EventKind::ReentrantGrant { thread: t, lock: l });
         return RequestOutcome::GrantedReentrant;
     }
 
@@ -315,33 +359,51 @@ pub fn request_cross_shard(
     // `set_request` overwrite, split across shards).
     if let Some(prev) = prev_request_shard {
         if prev != home {
-            shards[prev].rag_mut().clear_request(t);
+            shards[prev].engine_mut().rag_mut().clear_request(t);
         }
     }
-    shards[home].rag_mut().set_request_mode(t, l, pos, mode);
+    let h = shards[home].engine_mut();
+    h.rag_mut().set_request_mode(t, l, pos, mode);
+    let mut scratch = std::mem::take(h.scratch_mut());
+    let outcome = decide_cross_shard(shards, router, t, l, pos, mode, &mut scratch);
+    *shards[home].engine_mut().scratch_mut() = scratch;
+    outcome
+}
 
-    let detection = shards[home].config().detection;
-    let avoidance = shards[home].config().avoidance;
-    let starvation_handling = shards[home].config().starvation_handling;
+/// Detection, avoidance and grant of a cross-shard request whose request
+/// edge is already recorded at `pos` in the home shard.
+fn decide_cross_shard<S: EngineSlot>(
+    shards: &mut [S],
+    router: &ShardRouter,
+    t: OwnerId,
+    l: LockId,
+    pos: PositionId,
+    mode: AccessMode,
+    scratch: &mut RequestScratch,
+) -> RequestOutcome {
+    let home = router.shard_of(l);
+    let config = shards[home].engine().config();
+    let detection = config.detection;
+    let avoidance = config.avoidance;
+    let starvation_handling = config.starvation_handling;
 
     // --- Detection (merged wait-for relation) --------------------------
     if detection {
         let include_yields = starvation_handling;
-        // One read-only snapshot serves cycle search and classification.
-        let detected = {
-            let ro: Vec<&Dimmunix> = shards.iter().map(|s| &**s).collect();
-            find_cycle_with(t, |th| merged_successors(&ro, th, include_yields))
-                .map(|steps| classify_cycle_merged(&ro, router, &steps))
-        };
+        let detected = find_cycle_in(t, &mut scratch.cycle, |th, out| {
+            merged_successors(shards, th, include_yields, out)
+        })
+        .then(|| classify_cycle_merged(shards, router, &scratch.cycle.path));
         if let Some(detected) = detected {
             let is_starvation = detected.involves_yield;
             let (sig_id, new) = broadcast_signature(shards, detected.signature.clone());
             if is_starvation {
-                shards[home].stats_mut().starvations_detected += 1;
+                let h = shards[home].engine_mut();
+                h.stats_mut().starvations_detected += 1;
                 if new {
-                    shards[home].stats_mut().new_starvation_signatures += 1;
+                    h.stats_mut().new_starvation_signatures += 1;
                 }
-                shards[home].push_event(EventKind::StarvationDetected {
+                h.push_event(EventKind::StarvationDetected {
                     thread: t,
                     signature: sig_id,
                     new_signature: new,
@@ -350,9 +412,10 @@ pub fn request_cross_shard(
                 // (wherever it lives) and schedule a wake-up.
                 for th in &detected.owners {
                     if let Some(y) = clear_yield_any(shards, *th) {
-                        shards[home].push_pending_wakeup(y.signature);
-                        shards[home].stats_mut().wakeups += 1;
-                        shards[home].push_event(EventKind::Wakeup {
+                        let h = shards[home].engine_mut();
+                        h.push_pending_wakeup(y.signature);
+                        h.stats_mut().wakeups += 1;
+                        h.push_event(EventKind::Wakeup {
                             signature: y.signature,
                         });
                     }
@@ -360,11 +423,12 @@ pub fn request_cross_shard(
                 // Fall through: the requester itself is then treated by the
                 // avoidance logic below.
             } else {
-                shards[home].stats_mut().deadlocks_detected += 1;
+                let h = shards[home].engine_mut();
+                h.stats_mut().deadlocks_detected += 1;
                 if new {
-                    shards[home].stats_mut().new_deadlock_signatures += 1;
+                    h.stats_mut().new_deadlock_signatures += 1;
                 }
-                shards[home].push_event(EventKind::DeadlockDetected {
+                h.push_event(EventKind::DeadlockDetected {
                     thread: t,
                     signature: sig_id,
                     new_signature: new,
@@ -379,41 +443,33 @@ pub fn request_cross_shard(
     }
 
     // --- Avoidance (merged queue occupancy) ----------------------------
-    if avoidance && !shards[home].history().is_empty() {
-        shards[home].stats_mut().instantiation_checks += 1;
-        let outer = shards[home]
-            .positions()
-            .get(pos)
-            .and_then(|p| p.history_ref());
-        let examined = outer.map_or(0, |o| {
-            shards[home].signature_index().signatures_at(o).len() as u64
+    if avoidance && !shards[home].engine().history().is_empty() {
+        let h = shards[home].engine_mut();
+        h.stats_mut().instantiation_checks += 1;
+        let outer = h.positions().get(pos).and_then(|p| p.history_ref());
+        let examined = outer.map_or(0, |o| h.signature_index().signatures_at(o).len() as u64);
+        h.stats_mut().signatures_examined += examined;
+        // The instantiation check and, when it matches, the starvation probe
+        // read the same merged state.
+        let inst = outer.and_then(|o| {
+            find_instantiation_merged(shards, home, t, o, l, mode, &mut scratch.candidates)
         });
-        shards[home].stats_mut().signatures_examined += examined;
-        // One read-only snapshot serves the instantiation check and, when it
-        // matches, the starvation probe over the same state.
-        let (inst, starvation_sig) = {
-            let ro: Vec<&Dimmunix> = shards.iter().map(|s| &**s).collect();
-            match outer.and_then(|o| find_instantiation_merged(&ro, home, t, o, l, mode)) {
-                Some(inst) => {
-                    let sig = (starvation_handling && would_starve_merged(&ro, t, &inst.blockers))
-                        .then(|| starvation_signature_merged(&ro, home, pos, &inst.blockers));
-                    (Some(inst), sig)
-                }
-                None => (None, None),
-            }
-        };
         if let Some(inst) = inst {
+            let starvation_sig = (starvation_handling
+                && would_starve_merged(shards, t, &inst.blockers))
+            .then(|| starvation_signature_merged(shards, home, pos, &inst.blockers));
             let mut park = true;
             if let Some(sig) = starvation_sig {
                 // Parking would itself create a wait-for cycle: record
                 // the avoidance-induced deadlock and let the thread
                 // proceed instead (§2.2).
                 let (s_id, new) = broadcast_signature(shards, sig);
-                shards[home].stats_mut().starvations_detected += 1;
+                let h = shards[home].engine_mut();
+                h.stats_mut().starvations_detected += 1;
                 if new {
-                    shards[home].stats_mut().new_starvation_signatures += 1;
+                    h.stats_mut().new_starvation_signatures += 1;
                 }
-                shards[home].push_event(EventKind::StarvationDetected {
+                h.push_event(EventKind::StarvationDetected {
                     thread: t,
                     signature: s_id,
                     new_signature: new,
@@ -421,8 +477,9 @@ pub fn request_cross_shard(
                 park = false;
             }
             if park {
-                shards[home].stats_mut().yields += 1;
-                shards[home].set_yield_tracked(
+                let h = shards[home].engine_mut();
+                h.stats_mut().yields += 1;
+                h.set_yield_tracked(
                     t,
                     YieldRecord {
                         signature: inst.signature,
@@ -431,7 +488,7 @@ pub fn request_cross_shard(
                         blockers: inst.blockers,
                     },
                 );
-                shards[home].push_event(EventKind::Yield {
+                h.push_event(EventKind::Yield {
                     thread: t,
                     lock: l,
                     signature: inst.signature,
@@ -444,12 +501,13 @@ pub fn request_cross_shard(
     }
 
     // --- Grant ----------------------------------------------------------
-    shards[home].stats_mut().grants += 1;
-    if let Some(p) = shards[home].positions_mut().get_mut(pos) {
+    let h = shards[home].engine_mut();
+    h.stats_mut().grants += 1;
+    if let Some(p) = h.positions_mut().get_mut(pos) {
         p.queue_mut().push(t);
     }
-    shards[home].rag_mut().set_pending_grant(t, l, pos, mode);
-    shards[home].push_event(EventKind::Grant { thread: t, lock: l });
+    h.rag_mut().set_pending_grant(t, l, pos, mode);
+    h.push_event(EventKind::Grant { thread: t, lock: l });
     RequestOutcome::Granted
 }
 
@@ -457,60 +515,62 @@ pub fn request_cross_shard(
 // Merged-view helpers
 // ----------------------------------------------------------------------
 
-/// The merged wait-for successors of `t`: concatenation of the per-shard
-/// relations. A thread's out-edges (its outstanding request and its yield
-/// blockers) all live in the shard of its outstanding request, so
-/// concatenation yields exactly the monolithic successor list.
-fn merged_successors(
-    shards: &[&Dimmunix],
+/// Appends the merged wait-for successors of `t` to `out`: concatenation of
+/// the per-shard relations. A thread's out-edges (its outstanding request
+/// and its yield blockers) all live in the shard of its outstanding
+/// request, so concatenation yields exactly the monolithic successor list.
+fn merged_successors<S: EngineSlot>(
+    shards: &[S],
     t: OwnerId,
     include_yields: bool,
-) -> Vec<(OwnerId, WaitEdge)> {
-    let mut out = Vec::new();
+    out: &mut Vec<(OwnerId, WaitEdge)>,
+) {
     for s in shards {
-        out.extend(s.rag().successors(t, include_yields));
+        s.engine().rag().successors_into(t, include_yields, out);
     }
-    out
 }
 
 /// A position pinned to the shard whose table interned it.
 type ShardPos = (usize, PositionId);
 
-fn stack_at(shards: &[&Dimmunix], loc: Option<ShardPos>) -> CallStack {
-    loc.and_then(|(s, p)| shards[s].positions().get(p))
+fn stack_at<S: EngineSlot>(shards: &[S], loc: Option<ShardPos>) -> CallStack {
+    loc.and_then(|(s, p)| shards[s].engine().positions().get(p))
         .map(|p| p.stack().clone())
         .unwrap_or_default()
 }
 
 /// The shard and record of `t`'s outstanding request, if any.
-fn requesting_any(shards: &[&Dimmunix], t: OwnerId) -> Option<(usize, LockId, PositionId)> {
+fn requesting_any<S: EngineSlot>(shards: &[S], t: OwnerId) -> Option<(usize, LockId, PositionId)> {
     shards
         .iter()
         .enumerate()
-        .find_map(|(i, s)| s.rag().requesting(t).map(|(l, p)| (i, l, p)))
+        .find_map(|(i, s)| s.engine().rag().requesting(t).map(|(l, p)| (i, l, p)))
 }
 
 /// The shard and yield record of `t`, if it is parked by avoidance.
-fn yielding_any<'a>(shards: &'a [&Dimmunix], t: OwnerId) -> Option<(usize, &'a YieldRecord)> {
+fn yielding_any<S: EngineSlot>(shards: &[S], t: OwnerId) -> Option<(usize, &YieldRecord)> {
     shards
         .iter()
         .enumerate()
-        .find_map(|(i, s)| s.rag().yielding(t).map(|y| (i, y)))
+        .find_map(|(i, s)| s.engine().rag().yielding(t).map(|y| (i, y)))
 }
 
 /// Clears `t`'s yield record in whichever shard carries it.
-fn clear_yield_any(shards: &mut [&mut Dimmunix], t: OwnerId) -> Option<YieldRecord> {
-    shards.iter_mut().find_map(|s| s.clear_yield_tracked(t))
+fn clear_yield_any<S: EngineSlot>(shards: &mut [S], t: OwnerId) -> Option<YieldRecord> {
+    shards
+        .iter_mut()
+        .find_map(|s| s.engine_mut().clear_yield_tracked(t))
 }
 
 /// Latest lock held by `t` (by global acquisition sequence) whose
 /// acquisition position is flagged as in-history — the merged equivalent of
 /// `detection::last_history_hold`.
-fn last_history_hold_merged(shards: &[&Dimmunix], t: OwnerId) -> Option<ShardPos> {
+fn last_history_hold_merged<S: EngineSlot>(shards: &[S], t: OwnerId) -> Option<ShardPos> {
     shards
         .iter()
         .enumerate()
         .flat_map(|(i, s)| {
+            let s = s.engine();
             s.rag()
                 .held_locks(t)
                 .iter()
@@ -528,12 +588,13 @@ fn last_history_hold_merged(shards: &[&Dimmunix], t: OwnerId) -> Option<ShardPos
 
 /// Latest lock held by `t` across all shards, by global acquisition
 /// sequence — the merged equivalent of `held_locks(t).last()`.
-fn last_hold_merged(shards: &[&Dimmunix], t: OwnerId) -> Option<ShardPos> {
+fn last_hold_merged<S: EngineSlot>(shards: &[S], t: OwnerId) -> Option<ShardPos> {
     shards
         .iter()
         .enumerate()
         .flat_map(|(i, s)| {
-            s.rag()
+            s.engine()
+                .rag()
                 .held_locks(t)
                 .iter()
                 .map(move |e| (e.seq, (i, e.pos)))
@@ -545,8 +606,8 @@ fn last_hold_merged(shards: &[&Dimmunix], t: OwnerId) -> Option<ShardPos> {
 /// The merged equivalent of [`classify_cycle`](crate::classify_cycle):
 /// resolves positions through the shard that interned them and hold recency
 /// through the global acquisition sequence.
-fn classify_cycle_merged(
-    shards: &[&Dimmunix],
+fn classify_cycle_merged<S: EngineSlot>(
+    shards: &[S],
     router: &ShardRouter,
     steps: &[CycleStep],
 ) -> crate::detection::DetectedCycle {
@@ -565,7 +626,11 @@ fn classify_cycle_merged(
                 // The waited-on thread is one owner among possibly several
                 // (a reader crowd): the template position is *its* `acqPos`.
                 let s = router.shard_of(*lock);
-                shards[s].rag().acq_pos_of(*lock, waited_on).map(|p| (s, p))
+                shards[s]
+                    .engine()
+                    .rag()
+                    .acq_pos_of(*lock, waited_on)
+                    .map(|p| (s, p))
             }
             WaitEdge::Yield(_) => {
                 involves_yield = true;
@@ -613,18 +678,20 @@ fn classify_cycle_merged(
 /// carve-out every reader joining a crowd at a history position would be
 /// parked against its own crowd-mates — a spurious (fail-safe) refusal.
 ///
-/// The monolithic engine's avoidance check is the one-shard call
-/// (`&[&engine]`, `home = 0`) — one implementation, so the single-engine
-/// and sharded decisions cannot drift.
-pub(crate) fn find_instantiation_merged(
-    shards: &[&Dimmunix],
+/// `candidates` is the caller's reusable buffer of per-slot candidate
+/// lists. The monolithic engine's avoidance check is the one-shard call
+/// (`home = 0`) — one implementation, so the single-engine and sharded
+/// decisions cannot drift.
+pub(crate) fn find_instantiation_merged<S: EngineSlot>(
+    shards: &[S],
     home: usize,
     thread: OwnerId,
     outer: PositionId,
     lock: LockId,
     mode: AccessMode,
+    candidates: &mut Vec<Vec<OwnerId>>,
 ) -> Option<Instantiation> {
-    let snapshot = shards[home].history_snapshot();
+    let snapshot = shards[home].engine().history_snapshot();
     'sigs: for &sig in snapshot.index().signatures_at(outer) {
         let slots = snapshot.index().outer_positions_of(sig);
         // An injective assignment of k slots touches at most k - 1 distinct
@@ -634,10 +701,14 @@ pub(crate) fn find_instantiation_merged(
         // last); the cap keeps each check O(arity²) however many thousands
         // of tasks crowd the position.
         let cap = slots.len();
-        let mut candidates: Vec<Vec<OwnerId>> = Vec::with_capacity(cap);
-        for slot in slots {
-            let mut set: Vec<OwnerId> = Vec::new();
+        if candidates.len() < cap {
+            candidates.resize_with(cap, Vec::new);
+        }
+        for (k, slot) in slots.iter().enumerate() {
+            let set = &mut candidates[k];
+            set.clear();
             for s in shards {
+                let s = s.engine();
                 let Some(pid) = s.local_position_of_outer(*slot) else {
                     continue;
                 };
@@ -647,9 +718,14 @@ pub(crate) fn find_instantiation_merged(
                 // Crowd-mates (shared mode: owners whose only occupancy
                 // of this slot is a shared hold of the requested lock)
                 // are not adversaries and must not consume the cap.
-                set.extend(p.queue().distinct_owners_capped(cap, |c| {
-                    c != thread && !(mode.is_shared() && crowd_mate_occupancy(s, p, c, lock, pid))
-                }));
+                set.extend(
+                    p.queue()
+                        .distinct_owners_where(|c| {
+                            c != thread
+                                && !(mode.is_shared() && crowd_mate_occupancy(s, p, c, lock, pid))
+                        })
+                        .take(cap),
+                );
             }
             if shards.len() > 1 {
                 // Union of per-shard prefixes: the smallest `cap`
@@ -668,9 +744,8 @@ pub(crate) fn find_instantiation_merged(
                 // one cold slot.
                 continue 'sigs;
             }
-            candidates.push(set);
         }
-        let r = instantiable_with_candidates(slots, &candidates, thread, outer);
+        let r = instantiable_with_candidates(slots, &candidates[..cap], thread, outer);
         if let Some(blockers) = r {
             // The one shared match point of the monolithic and sharded
             // request paths: refresh the antibody's eviction generation so
@@ -709,9 +784,10 @@ fn crowd_mate_occupancy(
 
 /// Merged equivalent of the engine's `would_starve`: true if parking `t`
 /// would close a wait-for cycle through one of its blockers.
-fn would_starve_merged(shards: &[&Dimmunix], t: OwnerId, blockers: &[OwnerId]) -> bool {
+fn would_starve_merged<S: EngineSlot>(shards: &[S], t: OwnerId, blockers: &[OwnerId]) -> bool {
     let mut stack: Vec<OwnerId> = blockers.to_vec();
     let mut visited: Vec<OwnerId> = Vec::new();
+    let mut edges = Vec::new();
     while let Some(current) = stack.pop() {
         if current == t {
             return true;
@@ -720,16 +796,16 @@ fn would_starve_merged(shards: &[&Dimmunix], t: OwnerId, blockers: &[OwnerId]) -
             continue;
         }
         visited.push(current);
-        for (next, _) in merged_successors(shards, current, true) {
-            stack.push(next);
-        }
+        edges.clear();
+        merged_successors(shards, current, true, &mut edges);
+        stack.extend(edges.iter().map(|(next, _)| *next));
     }
     false
 }
 
 /// Merged equivalent of the engine's `starvation_signature`.
-fn starvation_signature_merged(
-    shards: &[&Dimmunix],
+fn starvation_signature_merged<S: EngineSlot>(
+    shards: &[S],
     home: usize,
     pos: PositionId,
     blockers: &[OwnerId],
@@ -760,19 +836,21 @@ fn starvation_signature_merged(
 ///
 /// Exposed so substrates that wrap shards in their own mutexes
 /// (`dimmunix-rt`) install antibodies through the identical code path.
-pub fn broadcast_signature(shards: &mut [&mut Dimmunix], sig: Signature) -> (SignatureId, bool) {
+pub fn broadcast_signature<S: EngineSlot>(shards: &mut [S], sig: Signature) -> (SignatureId, bool) {
     let (first, rest) = shards.split_first_mut().expect("at least one shard");
+    let first = first.engine_mut();
     let (id, new) = first.insert_signature(sig);
     if new {
         let snapshot = Arc::clone(first.history_snapshot());
         for s in rest.iter_mut() {
-            s.install_snapshot(Arc::clone(&snapshot));
+            s.engine_mut().install_snapshot(Arc::clone(&snapshot));
         }
     }
     debug_assert!(
-        shards
-            .windows(2)
-            .all(|w| Arc::ptr_eq(w[0].history_snapshot(), w[1].history_snapshot())),
+        shards.windows(2).all(|w| Arc::ptr_eq(
+            w[0].engine().history_snapshot(),
+            w[1].engine().history_snapshot()
+        )),
         "shards must share one history snapshot"
     );
     (id, new)
@@ -819,7 +897,7 @@ pub struct ShardedDimmunix {
     router: ShardRouter,
     /// Global acquisition counter stamped into every shard's RAG holds.
     next_seq: u64,
-    owner_routes: HashMap<OwnerId, OwnerRoute>,
+    owner_routes: FnvMap<OwnerId, OwnerRoute>,
 }
 
 impl ShardedDimmunix {
@@ -859,7 +937,7 @@ impl ShardedDimmunix {
             shards: engines,
             router,
             next_seq: 1,
-            owner_routes: HashMap::new(),
+            owner_routes: FnvMap::default(),
         }
     }
 
@@ -960,8 +1038,7 @@ impl ShardedDimmunix {
     /// Adds a signature to the shared history and installs the successor
     /// snapshot into every shard; returns its id and whether it was new.
     pub fn add_signature(&mut self, sig: Signature) -> (SignatureId, bool) {
-        let mut refs: Vec<&mut Dimmunix> = self.shards.iter_mut().collect();
-        broadcast_signature(&mut refs, sig)
+        broadcast_signature(&mut self.shards, sig)
     }
 
     /// Called before a monitor (exclusive) acquisition; see
@@ -1010,13 +1087,11 @@ impl ShardedDimmunix {
             match try_request_local(&mut self.shards[home], t, l, stack, mode) {
                 LocalDecision::Decided(outcome) => outcome,
                 LocalDecision::NeedsCrossShard => {
-                    let mut refs: Vec<&mut Dimmunix> = self.shards.iter_mut().collect();
-                    request_cross_shard(&mut refs, &self.router, t, l, stack, mode, stale)
+                    request_cross_shard(&mut self.shards, &self.router, t, l, stack, mode, stale)
                 }
             }
         } else {
-            let mut refs: Vec<&mut Dimmunix> = self.shards.iter_mut().collect();
-            request_cross_shard(&mut refs, &self.router, t, l, stack, mode, stale)
+            request_cross_shard(&mut self.shards, &self.router, t, l, stack, mode, stale)
         };
 
         let disabled = self.shards[home].config().is_disabled();

@@ -113,8 +113,8 @@ impl OuterTable {
 
     /// The first canonical outer position interned with the given stable
     /// site key, if any — the snapshot-side foreign-antibody screening
-    /// query (same first-wins convention as
-    /// [`PositionTable::lookup_by_key`](crate::PositionTable::lookup_by_key)).
+    /// query. Keys coarsen identity, so several outer positions may share
+    /// one; the first interned wins.
     pub fn lookup_by_key(&self, key: SiteKey) -> Option<PositionId> {
         self.by_key.get(&key).copied()
     }

@@ -70,6 +70,11 @@ pub struct Stats {
     /// degraded to the all-shard path but scoped degradation kept fast.
     /// Zero in the core engines.
     pub degradation_scope_hits: u64,
+    /// Avoidance parks of OS threads that ended on the runtime's 50 ms
+    /// safety timeout rather than on a wake-up. Every release that can end
+    /// a park wakes its gate, so on a healthy runtime this stays zero; a
+    /// rising count means lost wake-ups. Zero in the core engines.
+    pub gate_timeouts: u64,
 }
 
 impl Stats {
@@ -137,6 +142,7 @@ impl Stats {
         self.fast_admits += other.fast_admits;
         self.slow_fallbacks += other.slow_fallbacks;
         self.degradation_scope_hits += other.degradation_scope_hits;
+        self.gate_timeouts += other.gate_timeouts;
     }
 }
 
@@ -147,7 +153,7 @@ impl fmt::Display for Stats {
             "requests={} grants={} reentrant={} acquisitions={} releases={} reentries={} \
              yields={} deadlocks={} (new sigs {}) starvations={} (new sigs {}) checks={} \
              examined={} wakeups={} evicted={} refusals={} fast_admits={} slow_fallbacks={} \
-             degradation_scope_hits={}",
+             degradation_scope_hits={} gate_timeouts={}",
             self.requests,
             self.grants,
             self.reentrant_grants,
@@ -166,7 +172,8 @@ impl fmt::Display for Stats {
             self.history_full_refusals,
             self.fast_admits,
             self.slow_fallbacks,
-            self.degradation_scope_hits
+            self.degradation_scope_hits,
+            self.gate_timeouts
         )
     }
 }
@@ -197,6 +204,7 @@ mod tests {
             fast_admits: 16,
             slow_fallbacks: 17,
             degradation_scope_hits: 18,
+            gate_timeouts: 19,
         };
         let b = a;
         a.merge(&b);
@@ -210,6 +218,7 @@ mod tests {
         assert_eq!(a.fast_admits, 32);
         assert_eq!(a.slow_fallbacks, 34);
         assert_eq!(a.degradation_scope_hits, 36);
+        assert_eq!(a.gate_timeouts, 38);
     }
 
     #[test]

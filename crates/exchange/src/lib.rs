@@ -46,6 +46,7 @@ mod tests {
     use super::*;
     use dimmunix_core::{
         CallStack, Frame, History, HistorySnapshot, Signature, SignatureKind, SignaturePair,
+        SiteKey,
     };
     use dimmunix_testkit::Gen;
 
@@ -331,6 +332,46 @@ mod tests {
         );
         // Re-observing resolved sites after activation is a no-op.
         assert!(pending.observe_position(&local_a).is_empty());
+    }
+
+    /// Observing with a precomputed site key is observing with the key the
+    /// set would compute itself: same activations, same re-anchoring, same
+    /// remaining quarantine and needed-key set, step for step.
+    #[test]
+    fn observing_with_a_precomputed_key_matches_the_recomputed_key() {
+        let build = || {
+            let mut p = PendingSet::new();
+            p.admit(sig("outer.a", 10, 500), 2);
+            p.admit(sig("outer.a", 10, 0), 1);
+            p.admit(sig("outer.z", 3, 0), 4);
+            p
+        };
+        let (mut recomputed, mut keyed) = (build(), build());
+        let observations = [
+            CallStack::single(Frame::new("other.site", "c.rs", 1)),
+            CallStack::single(Frame::new("outer.a", "a.rs", 12)),
+            CallStack::single(Frame::new("outer.a", "a.rs", 40)),
+            CallStack::single(Frame::new("outer.b", "b.rs", 52)),
+            CallStack::single(Frame::new("outer.z", "a.rs", 9)),
+        ];
+        let render = |v: Vec<crate::ActivatedAntibody>| -> Vec<(String, u64)> {
+            v.into_iter()
+                .map(|a| (a.signature.to_string(), a.detections))
+                .collect()
+        };
+        let needed = |p: &PendingSet| {
+            let mut keys: Vec<SiteKey> = p.needed_keys().collect();
+            keys.sort_unstable();
+            keys
+        };
+        for stack in &observations {
+            let a = render(recomputed.observe_position(stack));
+            let b = render(keyed.observe_position_keyed(stack, stack.site_key()));
+            assert_eq!(a, b, "observing {}", stack.to_compact());
+            assert_eq!(recomputed.len(), keyed.len());
+            assert_eq!(needed(&recomputed), needed(&keyed));
+        }
+        assert_eq!(keyed.activated_total(), recomputed.activated_total());
     }
 
     #[test]

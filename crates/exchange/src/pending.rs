@@ -98,6 +98,13 @@ impl PendingSet {
         self.by_key.contains_key(&key)
     }
 
+    /// Every site key some pending antibody is still waiting for — the
+    /// set a caller mirrors into a lock-free screen (it changes only when
+    /// an antibody is admitted or a key is observed).
+    pub fn needed_keys(&self) -> impl Iterator<Item = SiteKey> + '_ {
+        self.by_key.keys().copied()
+    }
+
     /// Quarantines a foreign signature with its lineage. It will be returned
     /// by a later [`observe_position`](PendingSet::observe_position) call
     /// once every outer site it names has been observed locally — or
@@ -147,7 +154,18 @@ impl PendingSet {
     /// evidence, re-anchored to the locally observed stacks, removed from
     /// quarantine and ready to add to the live history.
     pub fn observe_position(&mut self, stack: &CallStack) -> Vec<ActivatedAntibody> {
-        let key = stack.site_key();
+        self.observe_position_keyed(stack, stack.site_key())
+    }
+
+    /// [`observe_position`](PendingSet::observe_position) with the stack's
+    /// site key already computed (`key` must be `stack.site_key()`): callers
+    /// that cache keys per acquisition site skip re-hashing the stack.
+    pub fn observe_position_keyed(
+        &mut self,
+        stack: &CallStack,
+        key: SiteKey,
+    ) -> Vec<ActivatedAntibody> {
+        debug_assert_eq!(key, stack.site_key(), "key must be the stack's site key");
         let Some(waiters) = self.by_key.remove(&key) else {
             return Vec::new();
         };

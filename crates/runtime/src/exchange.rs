@@ -13,6 +13,7 @@
 //! the signature names — at which point it is re-anchored to those local
 //! stacks and appended to the shared history like any homegrown antibody.
 
+use dimmunix_core::SiteKey;
 use dimmunix_exchange::PendingSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -86,6 +87,9 @@ pub(crate) struct ExchangeState {
     /// Fast pre-check consulted on every acquisition so the common case —
     /// nothing quarantined — costs one relaxed load, no mutex.
     pub(crate) pending_nonempty: AtomicBool,
+    /// Lock-free screen over the keys `pending` still needs, so an
+    /// acquisition at a site no quarantined antibody names skips the mutex.
+    pub(crate) screen: KeyScreen,
     pub(crate) imported: AtomicU64,
     pub(crate) activated: AtomicU64,
     pub(crate) quarantined_packs: AtomicU64,
@@ -100,6 +104,7 @@ impl ExchangeState {
             export_path: options.export_path,
             pending: Mutex::new(PendingSet::new()),
             pending_nonempty: AtomicBool::new(false),
+            screen: KeyScreen::new(),
             imported: AtomicU64::new(0),
             activated: AtomicU64::new(0),
             quarantined_packs: AtomicU64::new(0),
@@ -115,5 +120,82 @@ impl ExchangeState {
             quarantined_packs: self.quarantined_packs.load(Ordering::Relaxed),
             exported: self.exported.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// Words of the [`KeyScreen`] bitset: 65536 bits, so a 1000-antibody pack
+/// (2000 keys, two probes each) screens with a ~0.4 % false-positive rate.
+const SCREEN_WORDS: usize = 1024;
+
+/// A Bloom bitset over the site keys quarantined antibodies still need.
+///
+/// It is rebuilt from [`PendingSet::needed_keys`] under the pending-set
+/// lock whenever that key set changes. Keys are only ever added before a
+/// rebuild publishes them and only removed by one, so every word a reader
+/// can observe — old or new — has the bits of every key still needed: a
+/// clear bit proves no quarantined antibody waits for the key. A set bit is
+/// only a maybe, answered exactly under the lock.
+#[derive(Debug)]
+pub(crate) struct KeyScreen {
+    words: Box<[AtomicU64]>,
+}
+
+impl KeyScreen {
+    fn new() -> Self {
+        KeyScreen {
+            words: (0..SCREEN_WORDS).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// False if no quarantined antibody needs `key`; true if one may.
+    pub(crate) fn may_need(&self, key: SiteKey) -> bool {
+        key.bloom_probes(SCREEN_WORDS)
+            .iter()
+            .all(|&(word, mask)| self.words[word].load(Ordering::Acquire) & mask != 0)
+    }
+
+    /// Replaces the screen's contents with exactly `keys`. Callers hold the
+    /// pending-set lock, so rebuilds never run concurrently.
+    pub(crate) fn rebuild(&self, keys: impl Iterator<Item = SiteKey>) {
+        let mut fresh = vec![0u64; SCREEN_WORDS];
+        for key in keys {
+            for (word, mask) in key.bloom_probes(SCREEN_WORDS) {
+                fresh[word] |= mask;
+            }
+        }
+        for (word, bits) in self.words.iter().zip(fresh) {
+            word.store(bits, Ordering::Release);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn screen_passes_every_needed_key_and_drops_removed_ones() {
+        let screen = KeyScreen::new();
+        let keys: Vec<SiteKey> = (0..2000u64)
+            .map(|i| SiteKey::new(i.wrapping_mul(0xd6e8_feb8_6659_fd93) ^ 0x5bd1_e995))
+            .collect();
+        screen.rebuild(keys.iter().copied());
+        assert!(
+            keys.iter().all(|k| screen.may_need(*k)),
+            "no false negative"
+        );
+        let strangers = (0..10_000u64)
+            .map(|i| SiteKey::new(i.wrapping_mul(0x9fb2_1c65_1e98_df25) ^ 0xfeed))
+            .filter(|k| screen.may_need(*k))
+            .count();
+        assert!(
+            strangers < 200,
+            "{strangers} of 10000 unrelated keys passed"
+        );
+        screen.rebuild(keys[..10].iter().copied());
+        assert!(keys[..10].iter().all(|k| screen.may_need(*k)));
+        assert!(keys[10..].iter().filter(|k| screen.may_need(**k)).count() < 20);
+        screen.rebuild(std::iter::empty());
+        assert!(!screen.may_need(keys[0]));
     }
 }

@@ -42,14 +42,15 @@ use crate::sync;
 use dimmunix_core::{
     broadcast_signature, fast_path_eligible, holds_mask_with, request_cross_shard,
     stale_shard_after, stale_shard_consumed, try_request_local, AccessMode, Admission,
-    AdmissionSummary, CallStack, Config, Dimmunix, History, HistorySnapshot, LocalDecision, LockId,
-    OwnerId, PositionId, RecoveryReport, RequestOutcome, ShardRouter, Signature, SignatureId,
-    SiteKey, StackInterner, Stats, TaskId, ThreadId,
+    AdmissionSummary, CallStack, Config, Dimmunix, EngineSlot, FnvMap, History, HistorySnapshot,
+    LocalDecision, LockId, OwnerId, PositionId, RecoveryReport, RequestOutcome, ShardRouter,
+    Signature, SignatureId, SiteKey, StackInterner, Stats, TaskId, ThreadId,
 };
 use dimmunix_exchange::{Pack, PackError};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -208,7 +209,7 @@ pub struct RuntimeBuilder {
 
 impl RuntimeBuilder {
     /// Starts from the defaults: fail-safe deadlock policy, one engine
-    /// shard, in-memory history.
+    /// shard per available core, in-memory history.
     pub fn new() -> Self {
         Self::default()
     }
@@ -223,8 +224,9 @@ impl RuntimeBuilder {
     }
 
     /// Number of engine shards the lock-id space is partitioned over (see
-    /// [`RuntimeOptions::shards`]). Default 1 — the paper's single global
-    /// engine lock.
+    /// [`RuntimeOptions::shards`]). Default
+    /// `min(available_parallelism, MAX_SHARDS)`; `1` is the paper's single
+    /// global engine lock.
     pub fn shards(mut self, shards: usize) -> Self {
         self.options.shards = shards;
         self
@@ -341,6 +343,16 @@ impl ShardCell {
     }
 }
 
+impl EngineSlot for ShardCell {
+    fn engine(&self) -> &Dimmunix {
+        &self.engine
+    }
+
+    fn engine_mut(&mut self) -> &mut Dimmunix {
+        &mut self.engine
+    }
+}
+
 /// A lock admitted on the no-engine fast path and still held. The engine has
 /// never seen this hold: the admission summary proved its site cannot appear
 /// in any history signature and its owner cannot be a deadlock-cycle
@@ -375,34 +387,6 @@ struct ThreadRoute {
     fast_held: Option<FastHold>,
 }
 
-/// FNV-1a hasher for the thread-local maps on the admission fast path.
-/// Their keys are tiny and fixed-size (a runtime instance id; a site's
-/// pointer triple), where the default SipHash costs more than the admission
-/// check itself; FNV is not DoS-resistant, but these maps never hold
-/// attacker-chosen keys.
-#[derive(Default)]
-struct FnvHasher(u64);
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-type FnvMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FnvHasher>>;
-
 /// Cache key for [`SITE_STACKS`]: the site's `'static` string **pointers**
 /// stand in for their contents. For a given call site the pointers are
 /// stable, and pointer equality implies content equality; two distinct
@@ -421,32 +405,35 @@ impl From<AcquisitionSite> for SiteCacheKey {
     }
 }
 
+/// A site's stack as interned by a runtime's shared [`StackInterner`]: the
+/// interner's own `Arc`, so every engine shard resolves the site to its
+/// position by address. Held through a thread-private `Rc` so handing it to
+/// one acquisition bumps a count no other thread touches, not the shared
+/// `Arc`'s count that every thread running the site would contend on.
+#[allow(clippy::redundant_allocation)]
+type InternedStack = Rc<Arc<CallStack>>;
+
+/// An acquisition site resolved by one runtime: its interned stack and its
+/// stable site key.
+struct CachedSite {
+    /// Instance id of the runtime whose interner produced `stack`.
+    instance: u64,
+    stack: InternedStack,
+    key: SiteKey,
+}
+
 thread_local! {
     /// Per-OS-thread routing state, keyed by runtime instance.
     static THREAD_ROUTE: std::cell::RefCell<FnvMap<u64, ThreadRoute>> =
         std::cell::RefCell::new(FnvMap::default());
 
-    /// Per-thread cache of interned call stacks and site keys by acquisition
-    /// site. A site is a `'static` triple, so the cache never invalidates;
-    /// the steady-state acquisition path allocates nothing and hashes only
-    /// this one small map lookup.
-    static SITE_STACKS: std::cell::RefCell<FnvMap<SiteCacheKey, (Arc<CallStack>, SiteKey)>> =
+    /// Per-thread cache of resolved call stacks and site keys by
+    /// acquisition site. A site is a `'static` triple, so an entry only
+    /// changes when the thread runs the site under another runtime; the
+    /// steady-state acquisition path allocates nothing and hashes only this
+    /// one small map lookup.
+    static SITE_STACKS: std::cell::RefCell<FnvMap<SiteCacheKey, CachedSite>> =
         std::cell::RefCell::new(FnvMap::default());
-}
-
-/// The call stack and stable site key for an acquisition site, from the
-/// thread-local cache (built once per (thread, site)).
-fn cached_site_stack(site: AcquisitionSite) -> (Arc<CallStack>, SiteKey) {
-    SITE_STACKS.with(|cell| {
-        cell.borrow_mut()
-            .entry(site.into())
-            .or_insert_with(|| {
-                let stack = Arc::new(site.to_call_stack());
-                let key = stack.site_key();
-                (stack, key)
-            })
-            .clone()
-    })
 }
 
 /// The shared, per-process deadlock-immunity runtime.
@@ -460,7 +447,7 @@ pub struct DimmunixRuntime {
     /// ascending index order.
     shards: Vec<Mutex<ShardCell>>,
     /// Per-signature park gates, global across shards.
-    gates: Mutex<HashMap<SignatureId, Arc<SignatureGate>>>,
+    gates: Mutex<FnvMap<SignatureId, Arc<SignatureGate>>>,
     router: ShardRouter,
     options: RuntimeOptions,
     /// Global acquisition sequence, stamped into shard RAG holds so merged
@@ -482,7 +469,7 @@ pub struct DimmunixRuntime {
     /// [`ThreadRoute`]). A map rather than a thread-local because a task may
     /// be polled from any worker thread; each entry is only touched by its
     /// own task's polls, which an executor serializes.
-    task_routes: Mutex<HashMap<TaskId, TaskRoute>>,
+    task_routes: Mutex<FnvMap<TaskId, TaskRoute>>,
     /// Wakers of tasks parked by avoidance, keyed by the signature whose
     /// instantiation parked them — the async analogue of the condition
     /// variable [`SignatureGate`]s, FIFO per signature and at most one
@@ -490,10 +477,16 @@ pub struct DimmunixRuntime {
     /// entry ([`notify_signatures_released`](Self::notify_signatures_released));
     /// correctness-critical notifications (starvation, cancellation,
     /// retirement) wake every entry.
-    task_wakers: Mutex<HashMap<SignatureId, VecDeque<(TaskId, Waker)>>>,
+    task_wakers: Mutex<FnvMap<SignatureId, VecDeque<(TaskId, Waker)>>>,
     /// Collaborative-exchange state (quarantined foreign antibodies and
     /// counters); `None` unless [`RuntimeBuilder::exchange`] configured it.
     exchange: Option<ExchangeState>,
+    /// The stack interner every shard's position table resolves through;
+    /// acquisition sites are resolved through it once per (thread, site).
+    interner: Arc<StackInterner>,
+    /// Avoidance parks of OS threads that ended on the gate's safety
+    /// timeout instead of a wake-up ([`Stats::gate_timeouts`]).
+    gate_timeouts: AtomicU64,
 }
 
 /// Per-task routing state, mirroring [`ThreadRoute`] plus the task's spawn
@@ -541,8 +534,10 @@ impl fmt::Debug for DimmunixRuntime {
 }
 
 impl DimmunixRuntime {
-    /// Creates a private runtime with default options (paper defaults:
-    /// fail-safe deadlock policy, one engine shard). Use
+    /// Creates a private runtime with default options: fail-safe deadlock
+    /// policy, in-memory history, and one engine shard per available core
+    /// (`min(available_parallelism, MAX_SHARDS)`, see
+    /// [`RuntimeOptions::shards`]). Use
     /// [`builder`](Self::builder) to configure one, and
     /// [`global`](Self::global) for the process-global runtime the drop-in
     /// constructors attach to.
@@ -613,7 +608,7 @@ impl DimmunixRuntime {
             engine.share_stack_interner(Arc::clone(&interner));
             shards.push(Mutex::new(ShardCell::new(engine)));
         }
-        let rt = Self::assemble(options, router, shards, summary);
+        let rt = Self::assemble(options, router, shards, summary, interner);
         rt.startup_exchange_import();
         rt
     }
@@ -623,11 +618,12 @@ impl DimmunixRuntime {
         router: ShardRouter,
         shards: Vec<Mutex<ShardCell>>,
         summary: Arc<AdmissionSummary>,
+        interner: Arc<StackInterner>,
     ) -> Arc<Self> {
         let exchange = options.exchange.clone().map(ExchangeState::new);
         Arc::new(DimmunixRuntime {
             shards,
-            gates: Mutex::new(HashMap::new()),
+            gates: Mutex::new(FnvMap::default()),
             router,
             options,
             acq_seq: AtomicU64::new(1),
@@ -636,9 +632,11 @@ impl DimmunixRuntime {
             next_thread: AtomicU64::new(1),
             next_lock: AtomicU64::new(1),
             next_task: AtomicU64::new(1),
-            task_routes: Mutex::new(HashMap::new()),
-            task_wakers: Mutex::new(HashMap::new()),
+            task_routes: Mutex::new(FnvMap::default()),
+            task_wakers: Mutex::new(FnvMap::default()),
             exchange,
+            interner,
+            gate_timeouts: AtomicU64::new(0),
         })
     }
 
@@ -679,6 +677,7 @@ impl DimmunixRuntime {
                     activated.extend(pending.observe_position(stack));
                 }
             }
+            ex.screen.rebuild(pending.needed_keys());
             ex.pending_nonempty
                 .store(!pending.is_empty(), Ordering::Relaxed);
         }
@@ -688,19 +687,26 @@ impl DimmunixRuntime {
         }
     }
 
-    /// Feeds one locally observed acquisition position to the
-    /// foreign-antibody gate. The common case — nothing quarantined —
-    /// costs one relaxed load. Activated antibodies are appended to the
-    /// shared history *after* the pending guard is dropped, keeping the
+    /// Feeds one locally observed acquisition position, with its site key,
+    /// to the foreign-antibody gate. Nothing quarantined costs one relaxed
+    /// load; a site no quarantined antibody still needs costs a lock-free
+    /// screen probe. Only a site that may be needed takes the pending-set
+    /// lock. Activated antibodies are appended to the shared history
+    /// *after* the pending guard is dropped, keeping the
     /// pending-before-shards lock order one-way.
-    fn feed_exchange(&self, stack: &CallStack) {
+    fn feed_exchange(&self, stack: &CallStack, key: SiteKey) {
         let Some(ex) = &self.exchange else { return };
-        if !ex.pending_nonempty.load(Ordering::Relaxed) {
+        if !ex.pending_nonempty.load(Ordering::Relaxed) || !ex.screen.may_need(key) {
             return;
         }
         let activated = {
             let mut pending = sync::lock(&ex.pending);
-            let out = pending.observe_position(stack);
+            if !pending.needs(key) {
+                // A screen false positive: the key is wanted by no one.
+                return;
+            }
+            let out = pending.observe_position_keyed(stack, key);
+            ex.screen.rebuild(pending.needed_keys());
             ex.pending_nonempty
                 .store(!pending.is_empty(), Ordering::Relaxed);
             out
@@ -757,6 +763,34 @@ impl DimmunixRuntime {
     /// analogue of `initNode` on thread allocation).
     pub fn current_thread(&self) -> ThreadId {
         self.route().id
+    }
+
+    /// The call stack (this runtime's interned one) and stable site key of
+    /// an acquisition site, from the thread-local cache: resolved through
+    /// the interner once per (thread, site), again only if the thread ran
+    /// the site under another runtime since.
+    fn site_stack(&self, site: AcquisitionSite) -> (InternedStack, SiteKey) {
+        SITE_STACKS.with(|cell| {
+            let mut cache = cell.borrow_mut();
+            let entry = cache
+                .entry(site.into())
+                .or_insert_with(|| self.resolve_site(site));
+            if entry.instance != self.instance {
+                *entry = self.resolve_site(site);
+            }
+            (Rc::clone(&entry.stack), entry.key)
+        })
+    }
+
+    fn resolve_site(&self, site: AcquisitionSite) -> CachedSite {
+        let stack = site.to_call_stack();
+        let key = stack.site_key();
+        let depth = self.options.config.stack_depth;
+        CachedSite {
+            instance: self.instance,
+            stack: Rc::new(self.interner.intern(&stack.truncated(depth))),
+            key,
+        }
     }
 
     /// This thread's routing state, creating and registering it on first use.
@@ -879,6 +913,7 @@ impl DimmunixRuntime {
         total.fast_admits = fast_admits;
         total.slow_fallbacks = s.slow_fallbacks();
         total.degradation_scope_hits = s.degradation_scope_hits();
+        total.gate_timeouts = self.gate_timeouts.load(Ordering::Relaxed);
         total
     }
 
@@ -910,8 +945,7 @@ impl DimmunixRuntime {
     pub fn add_signature(&self, sig: Signature) -> SignatureId {
         let mut guards: Vec<MutexGuard<'_, ShardCell>> =
             self.shards.iter().map(sync::lock).collect();
-        let mut engines: Vec<&mut Dimmunix> = guards.iter_mut().map(|g| &mut g.engine).collect();
-        broadcast_signature(&mut engines, sig).0
+        broadcast_signature(&mut guards, sig).0
     }
 
     /// Estimated bytes of memory the runtime adds to the process: the
@@ -1039,7 +1073,7 @@ impl DimmunixRuntime {
     ) {
         let fhome = self.router.shard_of(fh.lock);
         let seq = self.acq_seq.fetch_add(1, Ordering::Relaxed);
-        let (fstack, _) = cached_site_stack(fh.site);
+        let (fstack, _) = self.site_stack(fh.site);
         guards[fhome]
             .engine
             .publish_acquired(thread, fh.lock, &fstack, fh.mode, seq);
@@ -1094,12 +1128,12 @@ impl DimmunixRuntime {
         mode: AccessMode,
     ) -> Result<(), LockError> {
         let thread = self.route().id;
-        let (stack, site_key) = cached_site_stack(site);
+        let (stack, site_key) = self.site_stack(site);
         // Foreign-antibody gate: this acquisition's position is local
         // evidence that may activate quarantined imports. Runs before any
         // shard lock is taken (activation appends under the all-shard
         // lock), so the antibody can refuse *this very request* below.
-        self.feed_exchange(&stack);
+        self.feed_exchange(&stack, site_key);
         let home = self.router.shard_of(lock);
 
         // No-engine fast path: a hold-free requester whose site provably
@@ -1154,19 +1188,15 @@ impl DimmunixRuntime {
                     if let Some(fh) = fast_pending {
                         self.publish_fast_hold(&mut guards, thread, fh);
                     }
-                    let o = {
-                        let mut engines: Vec<&mut Dimmunix> =
-                            guards.iter_mut().map(|g| &mut g.engine).collect();
-                        request_cross_shard(
-                            &mut engines,
-                            &self.router,
-                            thread,
-                            lock,
-                            &stack,
-                            mode,
-                            route.stale_shard,
-                        )
-                    };
+                    let o = request_cross_shard(
+                        &mut guards,
+                        &self.router,
+                        thread,
+                        lock,
+                        &stack,
+                        mode,
+                        route.stale_shard,
+                    );
                     let mut pending: Vec<SignatureId> = Vec::new();
                     for g in guards.iter_mut() {
                         pending.extend(g.engine.take_pending_wakeups());
@@ -1224,6 +1254,9 @@ impl DimmunixRuntime {
                             sync::wait_timeout(&gate.cv, gen, Duration::from_millis(50));
                         gen = g;
                         if timed_out {
+                            if *gen == observed {
+                                self.gate_timeouts.fetch_add(1, Ordering::Relaxed);
+                            }
                             break;
                         }
                     }
@@ -1291,26 +1324,32 @@ impl DimmunixRuntime {
         }
         let thread = self.route().id;
         let home = self.router.shard_of(lock);
-        let holds = self.release_in_shard(thread, lock, home);
+        let holds = self.release_in_shard(thread.into(), lock, home);
         self.update_route(|r| {
             r.holds_mask = holds_mask_with(r.holds_mask, home, holds);
         });
     }
 
     /// Engine release + gate wake-ups under the home shard's lock; returns
-    /// whether `thread` still holds anything on that shard.
-    fn release_in_shard(&self, thread: ThreadId, lock: LockId, home: usize) -> bool {
+    /// whether `owner` still holds anything on that shard.
+    ///
+    /// The wake-ups are skipped outright while no owner is parked. The park
+    /// count is read under the home shard's lock, and every yield is decided
+    /// (and counted) under all shard locks, so the read cannot race a park:
+    /// an owner parking after this release decides against the released
+    /// state, and one parked before it is counted.
+    fn release_in_shard(&self, owner: OwnerId, lock: LockId, home: usize) -> bool {
         let mut cell = sync::lock(&self.shards[home]);
         let ShardCell {
             engine,
             wake_scratch,
             ..
         } = &mut *cell;
-        engine.released_into(thread, lock, wake_scratch);
-        if !cell.wake_scratch.is_empty() {
+        engine.released_into(owner, lock, wake_scratch);
+        if !cell.wake_scratch.is_empty() && self.summary.parked_total() != 0 {
             self.notify_signatures_released(&cell.wake_scratch);
         }
-        !cell.engine.rag().held_locks(thread.into()).is_empty()
+        !cell.engine.rag().held_locks(owner).is_empty()
     }
 
     /// Unregisters the calling thread (normally done when a worker exits),
@@ -1415,9 +1454,9 @@ impl DimmunixRuntime {
         waker: &Waker,
     ) -> TaskAcquire {
         let owner = OwnerId::Task(task);
-        let (stack, _) = cached_site_stack(site);
+        let (stack, site_key) = self.site_stack(site);
         // Same foreign-antibody gate as the thread path.
-        self.feed_exchange(&stack);
+        self.feed_exchange(&stack, site_key);
         let home = self.router.shard_of(lock);
         let route = self.task_route(task);
         let task_local_ok = fast_path_eligible(route.holds_mask, route.stale_shard, false, home);
@@ -1450,19 +1489,15 @@ impl DimmunixRuntime {
             None => {
                 let mut guards: Vec<MutexGuard<'_, ShardCell>> =
                     self.shards.iter().map(sync::lock).collect();
-                let o = {
-                    let mut engines: Vec<&mut Dimmunix> =
-                        guards.iter_mut().map(|g| &mut g.engine).collect();
-                    request_cross_shard(
-                        &mut engines,
-                        &self.router,
-                        owner,
-                        lock,
-                        &stack,
-                        mode,
-                        route.stale_shard,
-                    )
-                };
+                let o = request_cross_shard(
+                    &mut guards,
+                    &self.router,
+                    owner,
+                    lock,
+                    &stack,
+                    mode,
+                    route.stale_shard,
+                );
                 let mut pending: Vec<SignatureId> = Vec::new();
                 for g in guards.iter_mut() {
                     pending.extend(g.engine.take_pending_wakeups());
@@ -1567,19 +1602,7 @@ impl DimmunixRuntime {
     pub fn task_release(&self, task: TaskId, lock: LockId) {
         let owner = OwnerId::Task(task);
         let home = self.router.shard_of(lock);
-        let holds = {
-            let mut cell = sync::lock(&self.shards[home]);
-            let ShardCell {
-                engine,
-                wake_scratch,
-                ..
-            } = &mut *cell;
-            engine.released_into(owner, lock, wake_scratch);
-            if !cell.wake_scratch.is_empty() {
-                self.notify_signatures_released(&cell.wake_scratch);
-            }
-            !cell.engine.rag().held_locks(owner).is_empty()
-        };
+        let holds = self.release_in_shard(owner, lock, home);
         self.update_task_route(task, |r| {
             r.holds_mask = holds_mask_with(r.holds_mask, home, holds);
         });

@@ -93,10 +93,14 @@ fn global_runtime_full_lifecycle_with_reset() {
     let implicit_first = ImmuneMutex::new("hello");
     assert_eq!(*implicit_first.lock().unwrap(), "hello");
     let defaulted = DimmunixRuntime::global();
+    // The documented default (`RuntimeOptions::shards`): one engine shard
+    // per available core, clamped to MAX_SHARDS.
+    let per_core =
+        std::thread::available_parallelism().map_or(1, |n| n.get().min(dimmunix_core::MAX_SHARDS));
     assert_eq!(
         defaulted.shard_count(),
-        1,
-        "default global is paper-faithful"
+        per_core,
+        "default global runs one shard per core"
     );
     assert!(
         RuntimeBuilder::new().install_global().is_err(),
