@@ -1,12 +1,11 @@
 //! Lock-free admission summary.
 //!
 //! The sharded engine's fast path still serializes every acquisition on the
-//! home-shard mutex, and one avoidance park degrades *every* request in the
-//! process to the ordered all-shard path. This module is the atomic summary
-//! that lets the runtime admit the overwhelmingly common case — a thread
-//! holding nothing, acquiring at a position no signature mentions, with no
-//! parked owner naming it as a blocker — with **zero shard locks**: a
-//! seqlock-style epoch read over a few cache lines.
+//! home-shard mutex. This module is the atomic summary that lets the
+//! runtime admit the overwhelmingly common case — a thread holding nothing,
+//! acquiring at a position no signature mentions, with no parked owner
+//! naming it as a blocker — with **zero shard locks**: a seqlock-style
+//! epoch read over a few cache lines.
 //!
 //! ## What the summary may prove
 //!

@@ -81,14 +81,12 @@ pub struct Config {
     pub log_segment_records: usize,
     /// Whether the lock-free admission path is active (default `true`).
     ///
-    /// When enabled, the sharded engine scopes its degradation decision to
-    /// the owners actually involved in a potential cycle (a park only slows
-    /// requests a yield record's blocker list could reach), and the runtime
-    /// admits clean-history, hold-free acquisitions with zero shard locks
-    /// via an epoch-validated read of the
-    /// [`AdmissionSummary`](crate::AdmissionSummary). When disabled, any
-    /// parked owner degrades every request to the ordered all-shard path
-    /// (the pre-admission-path behaviour).
+    /// When enabled, the runtime admits clean-history, hold-free thread
+    /// acquisitions with zero shard locks via an epoch-validated read of the
+    /// [`AdmissionSummary`](crate::AdmissionSummary). When disabled, every
+    /// acquisition takes the locked engine paths. Either way a park only
+    /// degrades the requests its yield record's blocker list names to the
+    /// ordered all-shard path.
     pub lock_free_admission: bool,
 }
 

@@ -137,9 +137,9 @@ impl ShardRouter {
 /// no park can involve the requester in a cycle (`any_parked == false` —
 /// the caller must evaluate this under a lock that a parking operation
 /// would also need, e.g. the home shard's mutex, so a concurrent park
-/// cannot be missed). With `lock_free_admission` enabled the caller scopes
-/// that third condition to yield records naming the requester in their
-/// blocker list; the legacy condition is "no owner parked anywhere".
+/// cannot be missed). Callers scope that third condition to yield records
+/// naming the requester in their blocker list: a park no record of which
+/// names the requester cannot close a cycle through it.
 /// [`try_request_local`] documents why these conditions make the
 /// shard-local decision identical to the monolithic one.
 pub fn fast_path_eligible(
@@ -221,13 +221,11 @@ pub enum LocalDecision {
 /// ([`Rag::lists_yield_blocker`](crate::Rag::lists_yield_blocker) is false
 /// everywhere — a yield record's blocker list is a snapshot, so a
 /// starvation cycle can run through a thread that holds no lock at all,
-/// but only by traversing a yield edge that names it; the legacy gate
-/// conservatively requires [`Rag::yield_count`](crate::Rag::yield_count)
-/// to be zero everywhere instead). A hold-free requester has no other
-/// possible in-edge, so under that precondition no wait-for cycle can pass
-/// through it, and shard-local detection plus an empty per-position
-/// signature list make the shard-local decision identical to the
-/// monolithic one.
+/// but only by traversing a yield edge that names it). A hold-free
+/// requester has no other possible in-edge, so under that precondition no
+/// wait-for cycle can pass through it, and shard-local detection plus an
+/// empty per-position signature list make the shard-local decision
+/// identical to the monolithic one.
 pub fn try_request_local(
     shard: &mut Dimmunix,
     t: impl Into<OwnerId>,
@@ -1068,19 +1066,15 @@ impl ShardedDimmunix {
         let home = self.router.shard_of(l);
         let route = self.owner_routes.entry(t).or_default();
         let stale = route.stale_shard;
-        // Scoped degradation: with the lock-free admission path enabled, a
-        // parked owner only degrades requests its yield record could actually
-        // involve in a cycle — those naming `t` in a blocker list (a yield
-        // edge is the only possible in-edge to a hold-free requester, so any
-        // cycle through `t` must traverse one). Everyone else stays on the
-        // shard-local fast path. The legacy gate degrades on *any* park.
-        let any_parked = if self.shards[home].config().lock_free_admission {
-            self.shards
-                .iter()
-                .any(|s| s.rag().yield_count() > 0 && s.rag().lists_yield_blocker(t))
-        } else {
-            self.shards.iter().any(|s| s.rag().yield_count() > 0)
-        };
+        // Scoped degradation: a parked owner only degrades requests its
+        // yield record could actually involve in a cycle — those naming `t`
+        // in a blocker list (a yield edge is the only possible in-edge to a
+        // hold-free requester, so any cycle through `t` must traverse one).
+        // Everyone else stays on the shard-local fast path.
+        let any_parked = self
+            .shards
+            .iter()
+            .any(|s| s.rag().yield_count() > 0 && s.rag().lists_yield_blocker(t));
         let fast_ok = fast_path_eligible(route.holds_mask, stale, any_parked, home);
 
         let outcome = if fast_ok {

@@ -370,21 +370,50 @@ struct FastHold {
     site: AcquisitionSite,
 }
 
-/// Per-(runtime, OS thread) routing state. Only the owning thread reads or
-/// writes its entry, so no synchronization is needed.
-#[derive(Debug, Clone, Copy)]
-struct ThreadRoute {
-    id: ThreadId,
-    /// Bit `s` set while the thread holds at least one lock on shard `s`.
+/// Per-(runtime, owner) routing state, the same for both owner kinds. A
+/// thread's route lives in its thread-local [`THREAD_ROUTE`] slot, a task's
+/// in the runtime's `task_routes` map; [`DimmunixRuntime::with_route`]
+/// reaches either. Only the owner itself touches its route (an executor
+/// serializes a task's polls), so the slot needs no further synchronization.
+#[derive(Debug, Clone, Copy, Default)]
+struct Route {
+    /// Bit `s` set while the owner holds at least one lock on shard `s`.
     holds_mask: u64,
-    /// Shard still carrying this thread's request edge from an acquisition
-    /// that was refused with [`LockError::WouldDeadlock`] (the substrate
-    /// abandons those, so the edge survives until the next request).
+    /// Shard still carrying this owner's request edge from an acquisition
+    /// answered with `Yield` or `DeadlockDetected` (retried or abandoned by
+    /// the substrate, so the edge survives until the next request).
     stale_shard: Option<usize>,
-    /// The one lock (if any) this thread holds via the no-engine fast path.
+    /// The one lock (if any) this owner holds via the no-engine fast path.
     /// At most one: a second acquisition while this is `Some` takes the
     /// cross-shard path, which publishes this hold into the engine first.
+    /// Always `None` for a task (see [`DimmunixRuntime::takes_tier_one`]).
     fast_held: Option<FastHold>,
+}
+
+/// A thread's entry in [`THREAD_ROUTE`]: its identity and its route.
+struct ThreadSlot {
+    id: ThreadId,
+    route: Route,
+}
+
+/// A task's entry in `task_routes`: its route and, for diagnostics, where
+/// it was spawned.
+struct TaskSlot {
+    route: Route,
+    spawn_site: Option<AcquisitionSite>,
+}
+
+/// How an owner waits out an avoidance yield; applied by
+/// [`DimmunixRuntime::request`] while every shard lock is still held, so the
+/// release that ends the park cannot slip in before the owner is waiting.
+enum OnYield<'a> {
+    /// An OS thread blocks on the signature's gate: sample its generation
+    /// into the slot, to wait on once the shard locks are dropped.
+    SampleGate(&'a mut Option<(Arc<SignatureGate>, u64)>),
+    /// A task returns `Poll::Pending`: queue its waker FIFO on the
+    /// signature, at most one entry per task (a re-park refreshes the waker
+    /// in place, keeping its turn).
+    QueueWaker(&'a Waker),
 }
 
 /// Cache key for [`SITE_STACKS`]: the site's `'static` string **pointers**
@@ -424,7 +453,7 @@ struct CachedSite {
 
 thread_local! {
     /// Per-OS-thread routing state, keyed by runtime instance.
-    static THREAD_ROUTE: std::cell::RefCell<FnvMap<u64, ThreadRoute>> =
+    static THREAD_ROUTE: std::cell::RefCell<FnvMap<u64, ThreadSlot>> =
         std::cell::RefCell::new(FnvMap::default());
 
     /// Per-thread cache of resolved call stacks and site keys by
@@ -465,11 +494,10 @@ pub struct DimmunixRuntime {
     next_thread: AtomicU64,
     next_lock: AtomicU64,
     next_task: AtomicU64,
-    /// Per-task routing state (the task analogue of the thread-local
-    /// [`ThreadRoute`]). A map rather than a thread-local because a task may
-    /// be polled from any worker thread; each entry is only touched by its
-    /// own task's polls, which an executor serializes.
-    task_routes: Mutex<FnvMap<TaskId, TaskRoute>>,
+    /// Per-task route slots. A map rather than a thread-local because a
+    /// task may be polled from any worker thread; each entry is only
+    /// touched by its own task's polls, which an executor serializes.
+    task_routes: Mutex<FnvMap<TaskId, TaskSlot>>,
     /// Wakers of tasks parked by avoidance, keyed by the signature whose
     /// instantiation parked them — the async analogue of the condition
     /// variable [`SignatureGate`]s, FIFO per signature and at most one
@@ -477,7 +505,7 @@ pub struct DimmunixRuntime {
     /// entry ([`notify_signatures_released`](Self::notify_signatures_released));
     /// correctness-critical notifications (starvation, cancellation,
     /// retirement) wake every entry.
-    task_wakers: Mutex<FnvMap<SignatureId, VecDeque<(TaskId, Waker)>>>,
+    task_wakers: Mutex<FnvMap<SignatureId, VecDeque<(OwnerId, Waker)>>>,
     /// Collaborative-exchange state (quarantined foreign antibodies and
     /// counters); `None` unless [`RuntimeBuilder::exchange`] configured it.
     exchange: Option<ExchangeState>,
@@ -487,19 +515,6 @@ pub struct DimmunixRuntime {
     /// Avoidance parks of OS threads that ended on the gate's safety
     /// timeout instead of a wake-up ([`Stats::gate_timeouts`]).
     gate_timeouts: AtomicU64,
-}
-
-/// Per-task routing state, mirroring [`ThreadRoute`] plus the task's spawn
-/// site for diagnostics.
-#[derive(Debug, Clone, Copy, Default)]
-struct TaskRoute {
-    /// Bit `s` set while the task holds at least one lock on shard `s`.
-    holds_mask: u64,
-    /// Shard still carrying this task's request edge from an acquisition
-    /// answered with `Yield` or `DeadlockDetected`.
-    stale_shard: Option<usize>,
-    /// Where the task was spawned, when the executor recorded it.
-    spawn_site: Option<AcquisitionSite>,
 }
 
 /// The engine's answer to a non-blocking task acquisition request — the
@@ -762,7 +777,12 @@ impl DimmunixRuntime {
     /// Identifier of the calling OS thread, registering it on first use (the
     /// analogue of `initNode` on thread allocation).
     pub fn current_thread(&self) -> ThreadId {
-        self.route().id
+        let known = THREAD_ROUTE.with(|cell| cell.borrow().get(&self.instance).map(|s| s.id));
+        known.unwrap_or_else(|| {
+            let id = ThreadId::new(self.next_thread.fetch_add(1, Ordering::Relaxed));
+            self.register(id.into(), None);
+            id
+        })
     }
 
     /// The call stack (this runtime's interned one) and stable site key of
@@ -793,51 +813,68 @@ impl DimmunixRuntime {
         }
     }
 
-    /// This thread's routing state, creating and registering it on first use.
-    fn route(&self) -> ThreadRoute {
-        THREAD_ROUTE.with(|cell| {
-            if let Some(r) = cell.borrow().get(&self.instance) {
-                return *r;
+    /// Registers a new owner with every shard and gives it an empty route:
+    /// the registration path of both owner kinds.
+    fn register(&self, owner: OwnerId, spawn_site: Option<AcquisitionSite>) {
+        for shard in &self.shards {
+            sync::lock(shard).engine.register_owner(owner);
+        }
+        let route = Route::default();
+        match owner {
+            OwnerId::Thread(id) => THREAD_ROUTE.with(|cell| {
+                cell.borrow_mut()
+                    .insert(self.instance, ThreadSlot { id, route });
+            }),
+            OwnerId::Task(id) => {
+                sync::lock(&self.task_routes).insert(id, TaskSlot { route, spawn_site });
             }
-            let id = ThreadId::new(self.next_thread.fetch_add(1, Ordering::Relaxed));
-            for shard in &self.shards {
-                sync::lock(shard).engine.register_owner(id);
-            }
-            let route = ThreadRoute {
-                id,
-                holds_mask: 0,
-                stale_shard: None,
-                fast_held: None,
-            };
-            cell.borrow_mut().insert(self.instance, route);
-            route
-        })
+        }
     }
 
-    fn update_route(&self, f: impl FnOnce(&mut ThreadRoute)) {
-        THREAD_ROUTE.with(|cell| {
-            if let Some(r) = cell.borrow_mut().get_mut(&self.instance) {
-                f(r);
-            }
-        });
+    /// Runs `f` on `owner`'s route: the calling thread's thread-local slot
+    /// (a thread owner is always the caller) or the task's map entry.
+    /// `None` if the owner has no route (never registered, or retired).
+    fn with_route<R>(&self, owner: OwnerId, f: impl FnOnce(&mut Route) -> R) -> Option<R> {
+        match owner {
+            OwnerId::Thread(_) => THREAD_ROUTE.with(|cell| {
+                let mut slots = cell.borrow_mut();
+                let slot = slots.get_mut(&self.instance)?;
+                debug_assert_eq!(owner, OwnerId::Thread(slot.id));
+                Some(f(&mut slot.route))
+            }),
+            OwnerId::Task(task) => sync::lock(&self.task_routes)
+                .get_mut(&task)
+                .map(|slot| f(&mut slot.route)),
+        }
     }
 
-    /// One-access no-engine admission attempt: checks every thread-local
+    /// Whether `owner` takes tier 1, the no-engine admission. OS threads
+    /// only. Tier 1 for tasks was measured to change task decisions: on
+    /// the `async_inversions` workload (three equal rounds, seeds 5, 6, 7)
+    /// the share of requests served went from 0.7555 / 0.7930 / 0.7550 to
+    /// 0.7678 / 0.7961 / 0.7266. Many tasks hold one site across `.await`s,
+    /// and a signature installed while they hold it unpublished does not
+    /// see them (the fail-safe window documented in
+    /// `dimmunix_core::admission`), so the window is wide for tasks. Since
+    /// no task ever holds a lock fast, the fast-hold lookups of the other
+    /// hooks skip tasks through this check too.
+    fn takes_tier_one(&self, owner: OwnerId) -> bool {
+        self.options.config.lock_free_admission && matches!(owner, OwnerId::Thread(_))
+    }
+
+    /// One-access no-engine admission attempt: checks every route
     /// precondition, consults the summary, and records the pending fast
-    /// hold, all under a single borrow of the route map. Returns whether
+    /// hold, all under a single borrow of the route slot. Returns whether
     /// the acquisition was admitted lock-free.
     fn try_fast_admit(
         &self,
+        owner: OwnerId,
         lock: LockId,
         site: AcquisitionSite,
         mode: AccessMode,
         site_key: SiteKey,
     ) -> bool {
-        THREAD_ROUTE.with(|cell| {
-            let mut map = cell.borrow_mut();
-            let Some(r) = map.get_mut(&self.instance) else {
-                return false;
-            };
+        self.with_route(owner, |r| {
             if r.holds_mask != 0 || r.stale_shard.is_some() || r.fast_held.is_some() {
                 return false;
             }
@@ -845,7 +882,7 @@ impl DimmunixRuntime {
                 return false;
             }
             if !matches!(
-                self.summary.try_admit(site_key, r.id.into()),
+                self.summary.try_admit(site_key, owner),
                 Admission::Admit { .. }
             ) {
                 return false;
@@ -853,20 +890,21 @@ impl DimmunixRuntime {
             r.fast_held = Some(FastHold { lock, mode, site });
             true
         })
+        .unwrap_or(false)
     }
 
-    /// Clears this thread's pending fast hold if it is `lock`, under a
-    /// single borrow of the route map. Returns whether it was cleared.
-    fn clear_fast_held(&self, lock: LockId) -> bool {
-        THREAD_ROUTE.with(|cell| {
-            if let Some(r) = cell.borrow_mut().get_mut(&self.instance) {
-                if r.fast_held.map(|fh| fh.lock) == Some(lock) {
+    /// Whether `owner`'s pending fast hold is `lock`, clearing it when
+    /// `end` (the hold is cancelled or released), under a single borrow of
+    /// the route slot.
+    fn is_fast_hold(&self, owner: OwnerId, lock: LockId, end: bool) -> bool {
+        self.takes_tier_one(owner)
+            && self.with_route(owner, |r| {
+                let hit = r.fast_held.is_some_and(|fh| fh.lock == lock);
+                if hit && end {
                     r.fast_held = None;
-                    return true;
                 }
-            }
-            false
-        })
+                hit
+            }) == Some(true)
     }
 
     /// Allocates a lock id for a new immune lock (the analogue of inflating a
@@ -1031,25 +1069,6 @@ impl DimmunixRuntime {
         }
     }
 
-    /// The locked half of the shard-local fast-path precondition, read under
-    /// the home shard's lock. Parking or resuming a thread requires every
-    /// shard lock (including home), and the summary's park counters are
-    /// updated from under those locks, so the answer cannot be invalidated
-    /// while the home lock is held. With lock-free admission the check is
-    /// *scoped*: only a park whose yield record lists `owner` as a blocker
-    /// forces the cross-shard path (a yield record's blocker list is a
-    /// snapshot, so a starvation cycle can pass through an owner that holds
-    /// no lock — but only through owners the record actually names). With
-    /// the knob off, any park anywhere degrades every request, reproducing
-    /// the old global behaviour.
-    fn locked_gate_clear(&self, owner: OwnerId) -> bool {
-        if self.options.config.lock_free_admission {
-            !self.summary.is_blocker(owner)
-        } else {
-            self.summary.parked_total() == 0
-        }
-    }
-
     /// Whether quarantined foreign antibodies await activation. The
     /// no-engine fast path declines while any are pending, so an antibody
     /// cannot be bypassed in the window between its import and the
@@ -1068,7 +1087,7 @@ impl DimmunixRuntime {
     fn publish_fast_hold(
         &self,
         guards: &mut [MutexGuard<'_, ShardCell>],
-        thread: ThreadId,
+        owner: OwnerId,
         fh: FastHold,
     ) {
         let fhome = self.router.shard_of(fh.lock);
@@ -1076,18 +1095,282 @@ impl DimmunixRuntime {
         let (fstack, _) = self.site_stack(fh.site);
         guards[fhome]
             .engine
-            .publish_acquired(thread, fh.lock, &fstack, fh.mode, seq);
-        let holds = !guards[fhome]
-            .engine
-            .rag()
-            .held_locks(thread.into())
-            .is_empty();
+            .publish_acquired(owner, fh.lock, &fstack, fh.mode, seq);
+        let holds = !guards[fhome].engine.rag().held_locks(owner).is_empty();
         self.summary.note_published();
-        self.update_route(|r| {
+        self.with_route(owner, |r| {
             r.fast_held = None;
             r.holds_mask = holds_mask_with(r.holds_mask, fhome, holds);
         });
     }
+
+    // ------------------------------------------------------------------
+    // The hook pipeline, one for both owner kinds
+    // ------------------------------------------------------------------
+    //
+    // Every hook below serves an OS thread (`OwnerId::Thread`, the blocking
+    // lock types) and an async task (`OwnerId::Task`, the `asyncio`
+    // substrate) alike. The owner kinds differ in three places only: where
+    // the route lives (`with_route`), how a yield is waited out (`OnYield`),
+    // and that only threads take tier 1 (`takes_tier_one`). The public
+    // thread and task hooks further down are thin entry points.
+
+    /// One acquisition request: the exchange feed, tier 1 (threads only),
+    /// tier 2 inside the home shard, tier 3 over every shard (publishing any
+    /// fast hold first, then `request_cross_shard` and the pending
+    /// wake-ups), and the stale-shard update. A yield is handed to
+    /// `on_yield` while every shard lock is still held. Answers in the task
+    /// API's terms; the thread entry turns a park into a gate wait and
+    /// retries.
+    fn request(
+        &self,
+        owner: OwnerId,
+        lock: LockId,
+        site: AcquisitionSite,
+        mode: AccessMode,
+        on_yield: OnYield<'_>,
+    ) -> TaskAcquire {
+        let (stack, site_key) = self.site_stack(site);
+        // Foreign-antibody gate: this acquisition's position is local
+        // evidence that may activate quarantined imports. Runs before any
+        // shard lock is taken (activation appends under the all-shard
+        // lock), so the antibody can refuse *this very request* below.
+        self.feed_exchange(&stack, site_key);
+
+        // Tier 1, no engine: a hold-free requester whose site provably
+        // appears in no history signature and whom no yield record names as
+        // a blocker cannot close a cycle and cannot occupy an avoidance
+        // slot, so the grant is decided by one seqlock-consistent read of
+        // the admission summary — no shard lock at all. Any doubt (seqlock
+        // retry exhaustion, bloom hit, blocker hit, relevant park) falls
+        // back to the engine paths below, which remain the oracle. A retry
+        // after a park declines at once: its stale request edge is set.
+        if self.takes_tier_one(owner) && self.try_fast_admit(owner, lock, site, mode, site_key) {
+            return TaskAcquire::Granted;
+        }
+
+        let home = self.router.shard_of(lock);
+        let route = self.with_route(owner, |r| *r).unwrap_or_default();
+        // Tier 2: decide inside the home shard when neither detection nor
+        // avoidance can need another shard's state. The route half of the
+        // predicate is read here; the park half (no yield record names this
+        // owner as a blocker) under the home shard's lock, which every park
+        // also takes, so the answer cannot change while it is held. A
+        // pending fast hold forces tier 3, which publishes it first.
+        let mut outcome = None;
+        if route.fast_held.is_none()
+            && fast_path_eligible(route.holds_mask, route.stale_shard, false, home)
+        {
+            let mut cell = sync::lock(&self.shards[home]);
+            if !self.summary.is_blocker(owner) {
+                match try_request_local(&mut cell.engine, owner, lock, &stack, mode) {
+                    // Tier 2 cannot yield (a yield needs the requesting
+                    // position in the history, which forces tier 3); were
+                    // it to, tier 3 re-decides and applies `on_yield`.
+                    LocalDecision::Decided(RequestOutcome::Yield { .. }) => {
+                        debug_assert!(false, "tier 2 yielded");
+                    }
+                    LocalDecision::Decided(o) => outcome = Some(o),
+                    LocalDecision::NeedsCrossShard => {}
+                }
+            }
+        }
+
+        // Tier 3: all shard locks in ascending index order, decision over
+        // the merged view, wake-ups and the yield action while the locks
+        // are still held.
+        let outcome = match outcome {
+            Some(o) => o,
+            None => {
+                let mut guards: Vec<MutexGuard<'_, ShardCell>> =
+                    self.shards.iter().map(sync::lock).collect();
+                if let Some(fh) = route.fast_held {
+                    self.publish_fast_hold(&mut guards, owner, fh);
+                }
+                let o = request_cross_shard(
+                    &mut guards,
+                    &self.router,
+                    owner,
+                    lock,
+                    &stack,
+                    mode,
+                    route.stale_shard,
+                );
+                let mut pending: Vec<SignatureId> = Vec::new();
+                for g in guards.iter_mut() {
+                    pending.extend(g.engine.take_pending_wakeups());
+                }
+                if !pending.is_empty() {
+                    self.notify_signatures(&pending);
+                }
+                if let RequestOutcome::Yield { signature } = o {
+                    match on_yield {
+                        OnYield::SampleGate(slot) => {
+                            let gate = self.gate(signature);
+                            let observed = *sync::lock(&gate.lock);
+                            *slot = Some((gate, observed));
+                        }
+                        OnYield::QueueWaker(waker) => {
+                            let mut parked = sync::lock(&self.task_wakers);
+                            let queue = parked.entry(signature).or_default();
+                            match queue.iter_mut().find(|(o, _)| *o == owner) {
+                                Some((_, w)) => *w = waker.clone(),
+                                None => queue.push_back((owner, waker.clone())),
+                            }
+                        }
+                    }
+                }
+                o
+            }
+        };
+
+        let next_stale = stale_shard_after(
+            &outcome,
+            route.stale_shard,
+            home,
+            self.options.config.is_disabled(),
+        );
+        if next_stale != route.stale_shard {
+            self.with_route(owner, |r| r.stale_shard = next_stale);
+        }
+
+        match outcome {
+            RequestOutcome::Granted | RequestOutcome::GrantedReentrant => TaskAcquire::Granted,
+            RequestOutcome::Yield { signature } => TaskAcquire::Parked { signature },
+            RequestOutcome::DeadlockDetected { signature, .. } => {
+                // Contribute-back: the new antibody is in the shared
+                // history; push the fleet pack before surfacing.
+                self.export_contribution();
+                match self.options.deadlock_policy {
+                    DeadlockPolicy::Error => TaskAcquire::WouldDeadlock(LockError::WouldDeadlock {
+                        signature,
+                        lock,
+                        site,
+                        owner,
+                        spawn_site: match owner {
+                            OwnerId::Task(task) => self.task_spawn_site(task),
+                            OwnerId::Thread(_) => None,
+                        },
+                    }),
+                    // Paper-faithful: proceed and let the owners freeze
+                    // once; the signature is persisted, so the next run is
+                    // immune.
+                    DeadlockPolicy::Block => TaskAcquire::Granted,
+                }
+            }
+        }
+    }
+
+    /// The completion path of both owner kinds (see
+    /// [`after_acquire`](Self::after_acquire)).
+    fn complete(&self, owner: OwnerId, lock: LockId) {
+        if self.is_fast_hold(owner, lock, false) {
+            self.summary.note_fast_acquire();
+            return;
+        }
+        let home = self.router.shard_of(lock);
+        let seq = self.acq_seq.fetch_add(1, Ordering::Relaxed);
+        let holds = {
+            let mut cell = sync::lock(&self.shards[home]);
+            cell.engine.acquired_with_seq(owner, lock, seq);
+            !cell.engine.rag().held_locks(owner).is_empty()
+        };
+        self.with_route(owner, |r| {
+            r.holds_mask = holds_mask_with(r.holds_mask, home, holds);
+            // The acquisition consumed the home shard's request edge.
+            r.stale_shard = stale_shard_consumed(r.stale_shard, home);
+        });
+    }
+
+    /// Backs out of an approved acquisition that will not be completed.
+    /// Backing out of a fast-path admission only drops the route's record —
+    /// the engine never saw the request.
+    fn cancel(&self, owner: OwnerId, lock: LockId) {
+        if self.is_fast_hold(owner, lock, true) {
+            self.summary.note_fast_cancel();
+            return;
+        }
+        let home = self.router.shard_of(lock);
+        let parked_on = {
+            let mut cell = sync::lock(&self.shards[home]);
+            let sig = cell.engine.rag().yielding(owner).map(|y| y.signature);
+            cell.engine.cancel_request(owner, lock);
+            sig
+        };
+        if let Some(sig) = parked_on {
+            // Only a task cancels while parked (its future was dropped).
+            // It may have been the single waiter a release-driven wake was
+            // handed to; drop its stale waker and re-broadcast so the wake
+            // is not lost with it.
+            if let Some(q) = sync::lock(&self.task_wakers).get_mut(&sig) {
+                q.retain(|(o, _)| *o != owner);
+            }
+            self.notify_signatures(&[sig]);
+        }
+        self.with_route(owner, |r| {
+            r.stale_shard = stale_shard_consumed(r.stale_shard, home);
+        });
+    }
+
+    /// The release path of both owner kinds (see
+    /// [`before_release`](Self::before_release)).
+    ///
+    /// The engine wake-ups are skipped outright while no owner is parked.
+    /// The park count is read under the home shard's lock, and every yield
+    /// is decided (and counted) under all shard locks, so the read cannot
+    /// race a park: an owner parking after this release decides against
+    /// the released state, and one parked before it is counted.
+    fn release(&self, owner: OwnerId, lock: LockId) {
+        if self.is_fast_hold(owner, lock, true) {
+            self.summary.note_fast_release();
+            return;
+        }
+        let home = self.router.shard_of(lock);
+        let holds = {
+            let mut cell = sync::lock(&self.shards[home]);
+            let ShardCell {
+                engine,
+                wake_scratch,
+                ..
+            } = &mut *cell;
+            engine.released_into(owner, lock, wake_scratch);
+            if !cell.wake_scratch.is_empty() && self.summary.parked_total() != 0 {
+                self.notify_signatures_released(&cell.wake_scratch);
+            }
+            !cell.engine.rag().held_locks(owner).is_empty()
+        };
+        self.with_route(owner, |r| {
+            r.holds_mask = holds_mask_with(r.holds_mask, home, holds);
+        });
+    }
+
+    /// Unregisters an owner, force-releasing anything it still holds on
+    /// any shard, and drops its route slot.
+    fn retire(&self, owner: OwnerId) {
+        let mut wake: Vec<SignatureId> = Vec::new();
+        {
+            let mut guards: Vec<MutexGuard<'_, ShardCell>> =
+                self.shards.iter().map(sync::lock).collect();
+            for g in guards.iter_mut() {
+                wake.extend(g.engine.unregister_owner(owner));
+            }
+            if !wake.is_empty() {
+                self.notify_signatures(&wake);
+            }
+        }
+        match owner {
+            OwnerId::Thread(_) => THREAD_ROUTE.with(|cell| {
+                cell.borrow_mut().remove(&self.instance);
+            }),
+            OwnerId::Task(task) => {
+                sync::lock(&self.task_routes).remove(&task);
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // The thread hooks: the blocking lock types' entry points
+    // ------------------------------------------------------------------
 
     /// The `lockMonitor` prologue: keeps requesting until the engine grants,
     /// parking on the matched signature's gate whenever it says yield.
@@ -1127,124 +1410,14 @@ impl DimmunixRuntime {
         site: AcquisitionSite,
         mode: AccessMode,
     ) -> Result<(), LockError> {
-        let thread = self.route().id;
-        let (stack, site_key) = self.site_stack(site);
-        // Foreign-antibody gate: this acquisition's position is local
-        // evidence that may activate quarantined imports. Runs before any
-        // shard lock is taken (activation appends under the all-shard
-        // lock), so the antibody can refuse *this very request* below.
-        self.feed_exchange(&stack, site_key);
-        let home = self.router.shard_of(lock);
-
-        // No-engine fast path: a hold-free requester whose site provably
-        // appears in no history signature and whom no yield record names as
-        // a blocker cannot close a cycle and cannot occupy an avoidance
-        // slot, so the grant is decided by one seqlock-consistent read of
-        // the admission summary — no shard lock at all. Any doubt (seqlock
-        // retry exhaustion, bloom hit, blocker hit, relevant park) falls
-        // back to the engine paths below, which remain the oracle.
-        if self.options.config.lock_free_admission
-            && self.try_fast_admit(lock, site, mode, site_key)
-        {
-            return Ok(());
-        }
-
+        let owner = self.current_thread().into();
         loop {
-            let route = self.route();
-            // Thread-local half of the eligibility predicate; the parked
-            // half ([`locked_gate_clear`](Self::locked_gate_clear)) is read
-            // *under the home shard's lock* below — parking a thread
-            // requires every shard lock (including home), so the answer
-            // cannot change while the fast path holds it. A pending
-            // fast-path hold forces the cross path, which publishes it into
-            // the engine before requesting.
-            let fast_pending = route.fast_held;
-            let thread_local_ok = fast_pending.is_none()
-                && fast_path_eligible(route.holds_mask, route.stale_shard, false, home);
-
-            // Fast path: decide inside the home shard when neither detection
-            // nor avoidance can need another shard's state.
-            let mut outcome = None;
-            if thread_local_ok {
-                let mut cell = sync::lock(&self.shards[home]);
-                if self.locked_gate_clear(thread.into()) {
-                    if let LocalDecision::Decided(o) =
-                        try_request_local(&mut cell.engine, thread, lock, &stack, mode)
-                    {
-                        outcome = Some(o);
-                    }
-                }
-            }
-
-            // Cross-shard path: all shard locks in ascending index order,
-            // decision over the merged view, wake-ups and gate sampling
-            // while the locks are still held.
-            let mut parked_gate: Option<(Arc<SignatureGate>, u64)> = None;
-            let outcome = match outcome {
-                Some(o) => o,
-                None => {
-                    let mut guards: Vec<MutexGuard<'_, ShardCell>> =
-                        self.shards.iter().map(sync::lock).collect();
-                    if let Some(fh) = fast_pending {
-                        self.publish_fast_hold(&mut guards, thread, fh);
-                    }
-                    let o = request_cross_shard(
-                        &mut guards,
-                        &self.router,
-                        thread,
-                        lock,
-                        &stack,
-                        mode,
-                        route.stale_shard,
-                    );
-                    let mut pending: Vec<SignatureId> = Vec::new();
-                    for g in guards.iter_mut() {
-                        pending.extend(g.engine.take_pending_wakeups());
-                    }
-                    if !pending.is_empty() {
-                        self.notify_signatures(&pending);
-                    }
-                    if let RequestOutcome::Yield { signature } = &o {
-                        // Sample the gate generation before the shard locks
-                        // are dropped: a release that happens right after
-                        // cannot be lost.
-                        let gate = self.gate(*signature);
-                        let observed = *sync::lock(&gate.lock);
-                        parked_gate = Some((gate, observed));
-                    }
-                    o
-                }
-            };
-
-            let next_stale = stale_shard_after(
-                &outcome,
-                route.stale_shard,
-                home,
-                self.options.config.is_disabled(),
-            );
-            if next_stale != route.stale_shard {
-                self.update_route(|r| r.stale_shard = next_stale);
-            }
-
-            match outcome {
-                RequestOutcome::Granted | RequestOutcome::GrantedReentrant => return Ok(()),
-                RequestOutcome::DeadlockDetected { signature, .. } => {
-                    // Contribute-back: the new antibody is in the shared
-                    // history; push the fleet pack before surfacing.
-                    self.export_contribution();
-                    return match self.options.deadlock_policy {
-                        DeadlockPolicy::Error => Err(LockError::WouldDeadlock {
-                            signature,
-                            lock,
-                            site,
-                            owner: thread.into(),
-                            spawn_site: None,
-                        }),
-                        DeadlockPolicy::Block => Ok(()),
-                    };
-                }
-                RequestOutcome::Yield { .. } => {
-                    let (gate, observed) = parked_gate.expect("yield decided on the cross path");
+            let mut parked = None;
+            match self.request(owner, lock, site, mode, OnYield::SampleGate(&mut parked)) {
+                TaskAcquire::Granted => return Ok(()),
+                TaskAcquire::WouldDeadlock(err) => return Err(err),
+                TaskAcquire::Parked { .. } => {
+                    let (gate, observed) = parked.expect("a thread's yield samples its gate");
                     let mut gen = sync::lock(&gate.lock);
                     while *gen == observed {
                         // The timeout is a belt-and-braces guard against a
@@ -1272,108 +1445,32 @@ impl DimmunixRuntime {
     /// here (only a counter ticks); it is published on demand if the owner
     /// ever takes the slow path while still holding it.
     pub fn after_acquire(&self, lock: LockId) {
-        let route = self.route();
-        if route.fast_held.map(|fh| fh.lock) == Some(lock) {
-            self.summary.note_fast_acquire();
-            return;
-        }
-        let thread = route.id;
-        let home = self.router.shard_of(lock);
-        let seq = self.acq_seq.fetch_add(1, Ordering::Relaxed);
-        let holds = {
-            let mut cell = sync::lock(&self.shards[home]);
-            cell.engine.acquired_with_seq(thread, lock, seq);
-            !cell.engine.rag().held_locks(thread.into()).is_empty()
-        };
-        self.update_route(|r| {
-            r.holds_mask = holds_mask_with(r.holds_mask, home, holds);
-            // The acquisition consumed the home shard's request edge.
-            r.stale_shard = stale_shard_consumed(r.stale_shard, home);
-        });
+        self.complete(self.current_thread().into(), lock);
     }
 
     /// Backs out of an approved acquisition that will not be completed
-    /// (e.g. a failed `try_lock` on the underlying mutex). Backing out of a
-    /// fast-path admission only drops the thread-local record — the engine
-    /// never saw the request.
+    /// (e.g. a failed `try_lock` on the underlying mutex).
     pub fn cancel_acquire(&self, lock: LockId) {
-        if self.clear_fast_held(lock) {
-            self.summary.note_fast_cancel();
-            return;
-        }
-        let thread = self.route().id;
-        let home = self.router.shard_of(lock);
-        {
-            let mut cell = sync::lock(&self.shards[home]);
-            cell.engine.cancel_request(thread, lock);
-        }
-        self.update_route(|r| {
-            r.stale_shard = stale_shard_consumed(r.stale_shard, home);
-        });
+        self.cancel(self.current_thread().into(), lock);
     }
 
     /// The `unlockMonitor` prologue: releases in the owning shard and wakes
-    /// every signature gate the engine says must be notified. Releasing a
-    /// fast-path hold is wake-free: its site was bloom-clear at admission,
-    /// so no history signature mentions it and the release can
+    /// every parked thread and task the engine says must be notified.
+    /// Releasing a fast-path hold is wake-free: its site was bloom-clear at
+    /// admission, so no history signature mentions it and the release can
     /// de-instantiate nothing.
     pub fn before_release(&self, lock: LockId) {
-        if self.clear_fast_held(lock) {
-            self.summary.note_fast_release();
-            return;
-        }
-        let thread = self.route().id;
-        let home = self.router.shard_of(lock);
-        let holds = self.release_in_shard(thread.into(), lock, home);
-        self.update_route(|r| {
-            r.holds_mask = holds_mask_with(r.holds_mask, home, holds);
-        });
-    }
-
-    /// Engine release + gate wake-ups under the home shard's lock; returns
-    /// whether `owner` still holds anything on that shard.
-    ///
-    /// The wake-ups are skipped outright while no owner is parked. The park
-    /// count is read under the home shard's lock, and every yield is decided
-    /// (and counted) under all shard locks, so the read cannot race a park:
-    /// an owner parking after this release decides against the released
-    /// state, and one parked before it is counted.
-    fn release_in_shard(&self, owner: OwnerId, lock: LockId, home: usize) -> bool {
-        let mut cell = sync::lock(&self.shards[home]);
-        let ShardCell {
-            engine,
-            wake_scratch,
-            ..
-        } = &mut *cell;
-        engine.released_into(owner, lock, wake_scratch);
-        if !cell.wake_scratch.is_empty() && self.summary.parked_total() != 0 {
-            self.notify_signatures_released(&cell.wake_scratch);
-        }
-        !cell.engine.rag().held_locks(owner).is_empty()
+        self.release(self.current_thread().into(), lock);
     }
 
     /// Unregisters the calling thread (normally done when a worker exits),
     /// force-releasing anything it still holds on any shard.
     pub fn retire_current_thread(&self) {
-        let thread = self.route().id;
-        let mut wake: Vec<SignatureId> = Vec::new();
-        {
-            let mut guards: Vec<MutexGuard<'_, ShardCell>> =
-                self.shards.iter().map(sync::lock).collect();
-            for g in guards.iter_mut() {
-                wake.extend(g.engine.unregister_owner(thread));
-            }
-            if !wake.is_empty() {
-                self.notify_signatures(&wake);
-            }
-        }
-        THREAD_ROUTE.with(|cell| {
-            cell.borrow_mut().remove(&self.instance);
-        });
+        self.retire(self.current_thread().into());
     }
 
     // ------------------------------------------------------------------
-    // The task API: poll-based hooks for async substrates
+    // The task hooks: poll-based entry points for async substrates
     // ------------------------------------------------------------------
     //
     // Async tasks are multiplexed onto a small pool of OS worker threads, so
@@ -1392,16 +1489,7 @@ impl DimmunixRuntime {
     /// [`LockError::WouldDeadlock::spawn_site`] diagnostics.
     pub fn register_task(&self, spawn_site: Option<AcquisitionSite>) -> TaskId {
         let id = TaskId::new(self.next_task.fetch_add(1, Ordering::Relaxed));
-        for shard in &self.shards {
-            sync::lock(shard).engine.register_owner(id);
-        }
-        sync::lock(&self.task_routes).insert(
-            id,
-            TaskRoute {
-                spawn_site,
-                ..TaskRoute::default()
-            },
-        );
+        self.register(id.into(), spawn_site);
         id
     }
 
@@ -1409,20 +1497,7 @@ impl DimmunixRuntime {
     pub fn task_spawn_site(&self, task: TaskId) -> Option<AcquisitionSite> {
         sync::lock(&self.task_routes)
             .get(&task)
-            .and_then(|r| r.spawn_site)
-    }
-
-    fn task_route(&self, task: TaskId) -> TaskRoute {
-        sync::lock(&self.task_routes)
-            .get(&task)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    fn update_task_route(&self, task: TaskId, f: impl FnOnce(&mut TaskRoute)) {
-        if let Some(r) = sync::lock(&self.task_routes).get_mut(&task) {
-            f(r);
-        }
+            .and_then(|slot| slot.spawn_site)
     }
 
     /// Non-blocking analogue of [`before_acquire`](Self::before_acquire)
@@ -1453,177 +1528,30 @@ impl DimmunixRuntime {
         mode: AccessMode,
         waker: &Waker,
     ) -> TaskAcquire {
-        let owner = OwnerId::Task(task);
-        let (stack, site_key) = self.site_stack(site);
-        // Same foreign-antibody gate as the thread path.
-        self.feed_exchange(&stack, site_key);
-        let home = self.router.shard_of(lock);
-        let route = self.task_route(task);
-        let task_local_ok = fast_path_eligible(route.holds_mask, route.stale_shard, false, home);
-
-        // Fast path: decide inside the home shard when neither detection nor
-        // avoidance can need another shard's state. The local path cannot
-        // yield (a yield needs the requesting position in the history, which
-        // forces the cross-shard path), so no waker registration is needed.
-        let mut outcome = None;
-        if task_local_ok {
-            let mut cell = sync::lock(&self.shards[home]);
-            if self.locked_gate_clear(owner) {
-                if let LocalDecision::Decided(o) =
-                    try_request_local(&mut cell.engine, owner, lock, &stack, mode)
-                {
-                    if matches!(o, RequestOutcome::Yield { .. }) {
-                        // Unreachable by construction; fall through to the
-                        // cross-shard path, which can register the waker
-                        // race-free under the all-shard lock.
-                        debug_assert!(false, "local fast path yielded");
-                    } else {
-                        outcome = Some(o);
-                    }
-                }
-            }
-        }
-
-        let outcome = match outcome {
-            Some(o) => o,
-            None => {
-                let mut guards: Vec<MutexGuard<'_, ShardCell>> =
-                    self.shards.iter().map(sync::lock).collect();
-                let o = request_cross_shard(
-                    &mut guards,
-                    &self.router,
-                    owner,
-                    lock,
-                    &stack,
-                    mode,
-                    route.stale_shard,
-                );
-                let mut pending: Vec<SignatureId> = Vec::new();
-                for g in guards.iter_mut() {
-                    pending.extend(g.engine.take_pending_wakeups());
-                }
-                if !pending.is_empty() {
-                    self.notify_signatures(&pending);
-                }
-                if let RequestOutcome::Yield { signature } = &o {
-                    // Register the waker while every shard lock is still
-                    // held: a release that would wake this signature needs a
-                    // shard lock, so the wake-up cannot be lost. At most one
-                    // entry per task: a re-park refreshes the waker in place
-                    // (keeping its queue turn) instead of duplicating it.
-                    let mut parked = sync::lock(&self.task_wakers);
-                    let queue = parked.entry(*signature).or_default();
-                    match queue.iter_mut().find(|(t, _)| *t == task) {
-                        Some((_, w)) => *w = waker.clone(),
-                        None => queue.push_back((task, waker.clone())),
-                    }
-                }
-                o
-            }
-        };
-
-        let next_stale = stale_shard_after(
-            &outcome,
-            route.stale_shard,
-            home,
-            self.options.config.is_disabled(),
-        );
-        if next_stale != route.stale_shard {
-            self.update_task_route(task, |r| r.stale_shard = next_stale);
-        }
-
-        match outcome {
-            RequestOutcome::Granted | RequestOutcome::GrantedReentrant => TaskAcquire::Granted,
-            RequestOutcome::Yield { signature } => TaskAcquire::Parked { signature },
-            RequestOutcome::DeadlockDetected { signature, .. } => {
-                self.export_contribution();
-                match self.options.deadlock_policy {
-                    DeadlockPolicy::Error => TaskAcquire::WouldDeadlock(LockError::WouldDeadlock {
-                        signature,
-                        lock,
-                        site,
-                        owner,
-                        spawn_site: route.spawn_site,
-                    }),
-                    // Paper-faithful: proceed and let the tasks freeze once;
-                    // the signature is persisted, so the next run is immune.
-                    DeadlockPolicy::Block => TaskAcquire::Granted,
-                }
-            }
-        }
+        self.request(task.into(), lock, site, mode, OnYield::QueueWaker(waker))
     }
 
-    /// The task analogue of [`after_acquire`](Self::after_acquire): records
-    /// the completed acquisition, stamped with the runtime-global sequence.
+    /// The task analogue of [`after_acquire`](Self::after_acquire).
     pub fn task_finish_acquire(&self, task: TaskId, lock: LockId) {
-        let owner = OwnerId::Task(task);
-        let home = self.router.shard_of(lock);
-        let seq = self.acq_seq.fetch_add(1, Ordering::Relaxed);
-        let holds = {
-            let mut cell = sync::lock(&self.shards[home]);
-            cell.engine.acquired_with_seq(owner, lock, seq);
-            !cell.engine.rag().held_locks(owner).is_empty()
-        };
-        self.update_task_route(task, |r| {
-            r.holds_mask = holds_mask_with(r.holds_mask, home, holds);
-            r.stale_shard = stale_shard_consumed(r.stale_shard, home);
-        });
+        self.complete(task.into(), lock);
     }
 
     /// Backs out of an approved task acquisition that will not be completed
     /// (the acquiring future was dropped between approval and completion —
     /// e.g. a select! raced it against a timeout).
     pub fn task_cancel_acquire(&self, task: TaskId, lock: LockId) {
-        let owner = OwnerId::Task(task);
-        let home = self.router.shard_of(lock);
-        let parked_on = {
-            let mut cell = sync::lock(&self.shards[home]);
-            let sig = cell.engine.rag().yielding(owner).map(|y| y.signature);
-            cell.engine.cancel_request(owner, lock);
-            sig
-        };
-        if let Some(sig) = parked_on {
-            // The dropped future may have been the single waiter a
-            // release-driven wake was handed to; drop its stale waker and
-            // re-broadcast so the wake is not lost with it.
-            if let Some(q) = sync::lock(&self.task_wakers).get_mut(&sig) {
-                q.retain(|(t, _)| *t != task);
-            }
-            self.notify_signatures(&[sig]);
-        }
-        self.update_task_route(task, |r| {
-            r.stale_shard = stale_shard_consumed(r.stale_shard, home);
-        });
+        self.cancel(task.into(), lock);
     }
 
-    /// The task analogue of [`before_release`](Self::before_release):
-    /// releases in the owning shard and wakes every parked thread and task
-    /// the engine says must be notified.
+    /// The task analogue of [`before_release`](Self::before_release).
     pub fn task_release(&self, task: TaskId, lock: LockId) {
-        let owner = OwnerId::Task(task);
-        let home = self.router.shard_of(lock);
-        let holds = self.release_in_shard(owner, lock, home);
-        self.update_task_route(task, |r| {
-            r.holds_mask = holds_mask_with(r.holds_mask, home, holds);
-        });
+        self.release(task.into(), lock);
     }
 
     /// Unregisters a completed task, force-releasing anything it still
     /// holds on any shard (a guard leaked across task teardown).
     pub fn retire_task(&self, task: TaskId) {
-        let owner = OwnerId::Task(task);
-        let mut wake: Vec<SignatureId> = Vec::new();
-        {
-            let mut guards: Vec<MutexGuard<'_, ShardCell>> =
-                self.shards.iter().map(sync::lock).collect();
-            for g in guards.iter_mut() {
-                wake.extend(g.engine.unregister_owner(owner));
-            }
-            if !wake.is_empty() {
-                self.notify_signatures(&wake);
-            }
-        }
-        sync::lock(&self.task_routes).remove(&task);
+        self.retire(task.into());
     }
 }
 
